@@ -7,6 +7,13 @@ dense M x M matrix wrapped in :class:`KernelMatrix`, which carries
 stochastic).  Downstream operators gate their preconditions on those
 flags instead of re-checking matrices.
 
+The affinity and row-normalization arithmetic lives in one batched core
+(``_kernel_fwd`` / ``_kernel_bwd`` and ``_rownorm_fwd`` /
+``_rownorm_bwd``) on stacks of (B, M, d) fields.  :func:`build_kernel_matrix`
+and :func:`normalize_rows` run it on a batch of one; the network runs it
+on minibatches and differentiates through it.  :func:`eval_affinity` is
+the scalar, one-pair-at-a-time reference the tests hold the core to.
+
 Two normalization routes are provided:
 
 * :func:`normalize_rows` divides each row by its sum.  This is what the
@@ -111,11 +118,8 @@ def median_bandwidth(field: FeatureField) -> float:
     M = field.num_positions
     if M < 2:
         raise ValueError("median bandwidth needs at least two positions")
-    V = field.values
-    sq = np.sum(V * V, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
-    iu = np.triu_indices(M, k=1)
-    dists = np.sqrt(np.maximum(d2[iu], 0.0))
+    d2 = _squared_distances(field.values[None])[0]
+    dists = np.sqrt(d2[np.triu_indices(M, k=1)])
     med = float(np.median(dists))
     if not (med > 0.0):
         raise ValueError("median pairwise distance is zero; bandwidth undefined")
@@ -172,6 +176,100 @@ def eval_affinity(spec: AffinityKernelSpec, i: int, j: int, field: FeatureField)
     if not np.isfinite(w):
         raise NonFiniteError(f"affinity overflowed: {w!r}")
     return w
+
+
+# ---------------------------------------------------------------------------
+# Batched core.  Fields are stacked as (B, M, d) arrays and affinities as
+# (B, M, M); build_kernel_matrix and normalize_rows run a batch of one,
+# the network runs minibatches and differentiates through the core.
+# ---------------------------------------------------------------------------
+
+
+def _squared_distances(V: np.ndarray) -> np.ndarray:
+    """|V_i - V_j|^2 for every sample, summed channel by channel.
+
+    Coordinate differences rather than the Gram identity |x|^2 + |y|^2 -
+    2 x.y, whose cancellation leaves roundoff of either sign: here the
+    diagonal is exactly 0, no entry is negative and (i, j) equals (j, i)
+    bitwise.
+    """
+    B, M, d = V.shape
+    d2 = np.zeros((B, M, M))
+    for c in range(d):
+        diff = V[:, :, None, c] - V[:, None, :, c]
+        d2 += diff * diff
+    return d2
+
+
+def _kernel_fwd(spec: AffinityKernelSpec, V: np.ndarray):
+    """omega(V_i, V_j) for every sample; returns (omega, aux-for-backward).
+
+    rbf specs must carry their bandwidth.  Overflow is left in the result
+    as inf or nan; each caller checks and names it in its own terms.
+    """
+    B, M, _ = V.shape
+    if spec.variant == DIRAC_DELTA:
+        return np.broadcast_to(np.eye(M), (B, M, M)).copy(), None
+    if spec.variant == EMBEDDED:
+        E = V @ spec.theta.T
+        omega, inner_aux = _kernel_fwd(spec.inner, E)
+        return omega, (E, inner_aux)
+    with np.errstate(over="ignore"):
+        if spec.variant == RBF:
+            h = float(spec.bandwidth)
+            return np.exp(-_squared_distances(V) / (2.0 * h * h)), None
+        G = V @ np.transpose(V, (0, 2, 1))
+        if spec.variant == DOT_PRODUCT:
+            return G, None
+        if spec.variant == GAUSSIAN:
+            return np.exp(G), None
+    raise ValueError(f"unknown kernel variant {spec.variant!r}")
+
+
+def _kernel_bwd(spec: AffinityKernelSpec, V: np.ndarray, omega: np.ndarray, aux, dOmega: np.ndarray):
+    """Gradient of the loss w.r.t. V given the gradient w.r.t. omega."""
+    if spec.variant == DIRAC_DELTA:
+        return np.zeros_like(V)
+    if spec.variant == EMBEDDED:
+        E, inner_aux = aux
+        dE = _kernel_bwd(spec.inner, E, omega, inner_aux, dOmega)
+        return dE @ spec.theta
+    if spec.variant == DOT_PRODUCT:
+        A = dOmega
+    elif spec.variant == GAUSSIAN:
+        A = dOmega * omega
+    elif spec.variant == RBF:
+        h = float(spec.bandwidth)
+        # d(omega)/d(squared distance) brings a factor -1/(2h^2).
+        T = dOmega * omega * (-0.5 / (h * h))
+        Bsym = T + np.transpose(T, (0, 2, 1))
+        row = np.sum(Bsym, axis=2)
+        return 2.0 * (row[:, :, None] * V - Bsym @ V)
+    else:
+        raise ValueError(f"unknown kernel variant {spec.variant!r}")
+    # Gram-based variants share one rule: dV = A V + A^T V.
+    return A @ V + np.transpose(A, (0, 2, 1)) @ V
+
+
+def _rownorm_fwd(omega: np.ndarray):
+    """Row-normalize every sample; returns (P, row sums).
+
+    The first degenerate row (sum not above DEGENERATE_ROW_SUM, nan
+    included) is reported with its sum.
+    """
+    C = np.sum(omega, axis=2)
+    bad = ~(C > DEGENERATE_ROW_SUM)
+    if bad.any():
+        b, i = np.argwhere(bad)[0]
+        raise DegenerateRowError(int(i), float(C[b, i]))
+    return omega / C[:, :, None], C
+
+
+def _rownorm_bwd(dP: np.ndarray, P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    # P = omega / C with C the row sum, so each row's gradient is the
+    # centered dP row rescaled: (dP_ij - sum_l dP_il P_il) / C_i.
+    q = np.sum(dP * P, axis=2, keepdims=True)
+    return (dP - q) / C[:, :, None]
 
 
 def _flags_from_entries(entries: np.ndarray) -> dict:
@@ -241,42 +339,42 @@ class KernelMatrix:
 def build_kernel_matrix(field: FeatureField, spec: AffinityKernelSpec) -> KernelMatrix:
     """Evaluate the affinity at every pair of positions.
 
-    Entries are filled from scalar evaluations; the (j, i) entry mirrors
-    (i, j) rather than being recomputed, so symmetric variants come out
-    bitwise symmetric.  A non-finite affinity (for instance a gaussian
-    overflow) is reported with the offending pair.
+    The batched core runs on a batch of one; the upper triangle is then
+    mirrored into the lower, so symmetric variants come out bitwise
+    symmetric.  A non-finite affinity (for instance a gaussian overflow)
+    is reported with its pair, the first in row-major order over the
+    upper triangle.
     """
-    M = field.num_positions
     work_field = field
     work_spec = spec
     if spec.variant == EMBEDDED:
-        # Project once instead of per evaluation.
+        # Project here, not in the core: the median bandwidth below is
+        # taken on the projected features.
         work_field = embed_field(field, spec.theta)
         work_spec = spec.inner
     if work_spec.variant == RBF and work_spec.bandwidth is None:
-        # Pin the bandwidth so every pair sees the same value.
         work_spec = AffinityKernelSpec.rbf(median_bandwidth(work_field))
-    K = np.empty((M, M), dtype=np.float64)
-    for i in range(M):
-        for j in range(i, M):
-            try:
-                w = eval_affinity(work_spec, i, j, work_field)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"affinity overflowed at pair ({i}, {j})") from exc
-            K[i, j] = w
-            K[j, i] = w
+    omega, _ = _kernel_fwd(work_spec, work_field.values[None])
+    K = omega[0]
+    lower = np.tril_indices(field.num_positions, k=-1)
+    K[lower] = K.T[lower]
+    bad = ~np.isfinite(K)
+    if bad.any():
+        # After the mirroring the first bad entry in row-major order lies
+        # in the upper triangle: a lower one's mirror comes in an earlier row.
+        i, j = np.argwhere(bad)[0]
+        raise NonFiniteError(f"affinity overflowed at pair ({i}, {j})")
     return KernelMatrix.from_entries(K)
 
 
 def normalize_rows(K: KernelMatrix) -> KernelMatrix:
-    """Divide each row by its sum.  Row stochastic out; symmetry not kept."""
-    sums = K.row_sums
-    for i, s in enumerate(sums):
-        # Nonpositive sums are rejected too: flipping row signs is not
-        # a normalization.
-        if not s > DEGENERATE_ROW_SUM:
-            raise DegenerateRowError(i, float(s))
-    return KernelMatrix.from_entries(K.entries / sums[:, None])
+    """Divide each row by its sum.  Row stochastic out; symmetry not kept.
+
+    Nonpositive sums are rejected too: flipping row signs is not a
+    normalization.
+    """
+    P, _ = _rownorm_fwd(K.entries[None])
+    return KernelMatrix.from_entries(P[0])
 
 
 def sinkhorn_normalize(
@@ -303,9 +401,10 @@ def sinkhorn_normalize(
     iterations = 0
     for iterations in range(1, max_iters + 1):
         r = A @ d
-        for i, ri in enumerate(r):
-            if not ri > DEGENERATE_ROW_SUM:
-                raise DegenerateRowError(i, float(d[i] * ri))
+        bad = ~(r > DEGENERATE_ROW_SUM)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DegenerateRowError(i, float(d[i] * r[i]))
         new_resid = float(np.max(np.abs(d * r - 1.0)))
         if new_resid <= tol:
             reached_tol = True

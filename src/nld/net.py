@@ -27,12 +27,13 @@ from .dynamics import StageWeights
 from .errors import DegenerateRowError, DivergenceError
 from .fields import FeatureField
 from .kernels import (
-    DIRAC_DELTA,
-    DOT_PRODUCT,
     EMBEDDED,
-    GAUSSIAN,
     RBF,
     AffinityKernelSpec,
+    _kernel_bwd,
+    _kernel_fwd,
+    _rownorm_bwd,
+    _rownorm_fwd,
 )
 from .rng import SplitMix64, derive_seed
 from .spectrum import SpectrumReport, spectrum_report
@@ -155,72 +156,9 @@ def init_params(config: NetworkConfig, seed: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Batched differentiable pieces.  Arrays are (B, M, *) throughout; the
-# public forward/backward wrap a batch of one.
+# public forward/backward wrap a batch of one.  The affinity and its row
+# normalization come from the batched core in ``kernels``.
 # ---------------------------------------------------------------------------
-
-
-def _kernel_fwd(spec: AffinityKernelSpec, V: np.ndarray):
-    """omega(V_i, V_j) for every sample; returns (omega, aux-for-backward)."""
-    B, M, _ = V.shape
-    if spec.variant == DIRAC_DELTA:
-        return np.broadcast_to(np.eye(M), (B, M, M)).copy(), None
-    if spec.variant == EMBEDDED:
-        E = V @ spec.theta.T
-        omega, inner_aux = _kernel_fwd(spec.inner, E)
-        return omega, (E, inner_aux)
-    G = V @ np.transpose(V, (0, 2, 1))
-    with np.errstate(over="ignore"):
-        if spec.variant == DOT_PRODUCT:
-            return G, None
-        if spec.variant == GAUSSIAN:
-            return np.exp(G), None
-        if spec.variant == RBF:
-            h = float(spec.bandwidth)
-            sq = np.sum(V * V, axis=2)
-            d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * G
-            return np.exp(-d2 / (2.0 * h * h)), None
-    raise ValueError(f"unknown kernel variant {spec.variant!r}")
-
-
-def _kernel_bwd(spec: AffinityKernelSpec, V: np.ndarray, omega: np.ndarray, aux, dOmega: np.ndarray):
-    """Gradient of the loss w.r.t. V given the gradient w.r.t. omega."""
-    if spec.variant == DIRAC_DELTA:
-        return np.zeros_like(V)
-    if spec.variant == EMBEDDED:
-        E, inner_aux = aux
-        dE = _kernel_bwd(spec.inner, E, omega, inner_aux, dOmega)
-        return dE @ spec.theta
-    if spec.variant == DOT_PRODUCT:
-        A = dOmega
-    elif spec.variant == GAUSSIAN:
-        A = dOmega * omega
-    elif spec.variant == RBF:
-        h = float(spec.bandwidth)
-        # d(omega)/d(squared distance) brings a factor -1/(2h^2).
-        T = dOmega * omega * (-0.5 / (h * h))
-        Bsym = T + np.transpose(T, (0, 2, 1))
-        row = np.sum(Bsym, axis=2)
-        return 2.0 * (row[:, :, None] * V - Bsym @ V)
-    else:
-        raise ValueError(f"unknown kernel variant {spec.variant!r}")
-    # Gram-based variants share one rule: dV = A V + A^T V.
-    return A @ V + np.transpose(A, (0, 2, 1)) @ V
-
-
-def _rownorm_fwd(omega: np.ndarray):
-    C = np.sum(omega, axis=2)
-    bad = C <= 1e-300
-    if bad.any():
-        b, i = np.argwhere(bad)[0]
-        raise DegenerateRowError(int(i), float(C[b, i]))
-    return omega / C[:, :, None], C
-
-
-def _rownorm_bwd(dP: np.ndarray, P: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # P = omega / C with C the row sum, so each row's gradient is the
-    # centered dP row rescaled: (dP_ij - sum_l dP_il P_il) / C_i.
-    q = np.sum(dP * P, axis=2, keepdims=True)
-    return (dP - q) / C[:, :, None]
 
 
 def _block_fwd(W1, W2, gain, Z):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import nld
+
+# Property tests draw the same small set of examples on every run.
+settings.register_profile("nld", derandomize=True, database=None, max_examples=25, deadline=None)
+settings.load_profile("nld")
 
 
 @pytest.fixture

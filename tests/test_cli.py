@@ -342,6 +342,32 @@ def test_evolve_blowup_fails_with_partial_trajectory(tmp_path, capsys):
     assert "OVERALL: FAIL" in capsys.readouterr().out
 
 
+def test_evolve_original_kernel_overflow_is_a_named_blowup(tmp_path, capsys):
+    # Z <- Z + 2 P Z triples the state each step; by step 5 the gaussian
+    # affinity exp(x . x) overflows while the state is still far below
+    # the blow-up guard, so the kernel build is what fails.
+    code, out = run_cli(
+        tmp_path,
+        "evolve",
+        {
+            "stepper": "original",
+            "num_positions": 2,
+            "num_channels": 1,
+            "steps": 50,
+            "weight": 2.0,
+            "kernel": {"variant": "gaussian"},
+            "initial": {"kind": "explicit", "values": [[1.0], [0.5]]},
+        },
+    )
+    assert code == 1
+    check = check_by_name(read_report(out), "finite_trajectory")
+    assert check["status"] == "fail"
+    assert check["detail"] == "blow-up at step 5"
+    assert check["measured"] == math.inf
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 6  # header plus the 5 finite states
+
+
 def test_evolve_explicit_initial_shape_mismatch_exits_2(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path,

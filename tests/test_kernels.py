@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nld
 from nld import (
@@ -19,6 +22,8 @@ from nld import (
     sinkhorn_normalize,
     symmetric_stochastic_kernel,
 )
+
+from nld.net import StageConfig, _stage_fwd
 
 from conftest import make_field
 
@@ -187,6 +192,95 @@ def test_rbf_median_bandwidth_is_default():
 
 
 # ---------------------------------------------------------------------------
+# build_kernel_matrix against the scalar oracle
+# ---------------------------------------------------------------------------
+
+THETA = np.array([[0.4, -0.7, 0.1], [0.2, 0.9, -0.3]])
+
+ORACLE_SPECS = {
+    "gaussian": AffinityKernelSpec.gaussian(),
+    "dot_product": AffinityKernelSpec.dot_product(),
+    "dirac_delta": AffinityKernelSpec.dirac_delta(),
+    "rbf_fixed": AffinityKernelSpec.rbf(bandwidth=1.3),
+    "rbf_median": AffinityKernelSpec.rbf(),
+    "embedded_gaussian": AffinityKernelSpec.embedded(THETA, AffinityKernelSpec.gaussian()),
+    "embedded_rbf": AffinityKernelSpec.embedded(THETA, AffinityKernelSpec.rbf()),
+}
+
+
+def oracle_entries(field, spec):
+    M = field.num_positions
+    return np.array([[eval_affinity(spec, i, j, field) for j in range(M)] for i in range(M)])
+
+
+def assert_matches_oracle(field, spec):
+    """Entries within 1e-14 * max(1, |entry|) of the scalar loop, or the same error."""
+    try:
+        want = oracle_entries(field, spec)
+    except ValueError:
+        # e.g. no median bandwidth: a single position or coincident points
+        with pytest.raises(ValueError):
+            build_kernel_matrix(field, spec)
+        return
+    K = build_kernel_matrix(field, spec).entries
+    assert np.all(np.abs(K - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(K, K.T)
+    inner = spec.inner if spec.variant == nld.kernels.EMBEDDED else spec
+    if inner.variant == nld.kernels.RBF:
+        assert np.all(np.diag(K) == 1.0)
+        assert np.all((K >= 0.0) & (K <= 1.0))
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 33])
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_build_matches_scalar_oracle(name, M):
+    assert_matches_oracle(make_field(47, M, 3), ORACLE_SPECS[name])
+
+
+# Values stay in [-2, 2] so |x . y| <= 16 at d <= 4: exp amplifies a
+# one-ulp difference between the oracle's dot and the core's matmul by
+# |x . y|, and the 1e-14 relative bound must leave room for that.
+drawn_fields = st.integers(1, 12).flatmap(
+    lambda M: st.integers(1, 4).flatmap(
+        lambda d: arrays(np.float64, (M, d), elements=st.floats(-2.0, 2.0))
+    )
+)
+
+
+@given(values=drawn_fields)
+def test_build_matches_scalar_oracle_on_drawn_fields(values):
+    field = FeatureField(values)
+    theta = np.linspace(-1.0, 1.0, 2 * field.num_channels).reshape(2, -1)
+    for spec in (
+        AffinityKernelSpec.gaussian(),
+        AffinityKernelSpec.dot_product(),
+        AffinityKernelSpec.dirac_delta(),
+        AffinityKernelSpec.rbf(bandwidth=0.8),
+        AffinityKernelSpec.rbf(),
+        AffinityKernelSpec.embedded(theta, AffinityKernelSpec.gaussian()),
+        AffinityKernelSpec.embedded(theta, AffinityKernelSpec.rbf(bandwidth=0.8)),
+    ):
+        assert_matches_oracle(field, spec)
+
+
+def test_build_overflow_names_first_upper_pair():
+    f = FeatureField(np.array([[0.0], [1e200], [1e200]]))
+    with pytest.raises(NonFiniteError) as err:
+        build_kernel_matrix(f, AffinityKernelSpec.gaussian())
+    assert "pair (1, 1)" in str(err.value)
+
+
+def test_net_stage_uses_the_same_affinity():
+    f = make_field(53, 9, 3)
+    spec = AffinityKernelSpec.gaussian()
+    stage = StageConfig("proposed", sub_blocks=1, kernel=spec, placement=0)
+    _, cache = _stage_fwd(stage, [0.1 * np.eye(3)], f.values[None])
+    omega = cache[1][0]
+    # build_kernel_matrix keeps the core's upper triangle and mirrors it.
+    assert np.array_equal(np.triu(omega), np.triu(build_kernel_matrix(f, spec).entries))
+
+
+# ---------------------------------------------------------------------------
 # KernelMatrix flags
 # ---------------------------------------------------------------------------
 
@@ -238,6 +332,17 @@ def test_normalize_rows_rejects_zero_and_negative_sums():
     with pytest.raises(DegenerateRowError) as err:
         normalize_rows(KernelMatrix.from_entries(np.array([[1.0, -3.0], [-3.0, 1.0]])))
     assert err.value.row == 0
+
+
+def test_first_degenerate_row_is_reported():
+    K = KernelMatrix.from_entries(np.diag([1.0, -2.0, 0.0, -5.0]))
+    with pytest.raises(DegenerateRowError) as err:
+        normalize_rows(K)
+    assert (err.value.row, err.value.row_sum) == (1, -2.0)
+    S = KernelMatrix.from_entries(np.diag([1.0, 1e-301, 0.0, 1e-302]))
+    with pytest.raises(DegenerateRowError) as err:
+        sinkhorn_normalize(S)
+    assert (err.value.row, err.value.row_sum) == (1, 1e-301)
 
 
 # ---------------------------------------------------------------------------
