@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -139,47 +139,63 @@ def _finish(report: RunReport, out_dir: Path, started: float) -> RunReport:
 # Config plumbing.
 # ---------------------------------------------------------------------------
 
-_KERNEL_PROPS = {
-    "variant": {"enum": ["gaussian", "dot_product", "rbf", "dirac_delta", "embedded"]},
-    "bandwidth": {"type": ["number", "null"]},
-    "theta": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-    "inner": {"type": "object"},
-}
 
+def _object(properties: dict, **keywords) -> dict:
+    """An object schema that rejects unknown keys."""
+    return {"type": "object", "additionalProperties": False, "properties": properties, **keywords}
+
+
+# One kernel schema; its "$id" lets an embedded kernel's inner spec refer back to it.
 _KERNEL_SCHEMA = {
-    "type": "object",
-    "required": ["variant"],
-    "additionalProperties": False,
-    "properties": _KERNEL_PROPS,
+    "$id": "urn:nld:kernel",
+    **_object(
+        {
+            "variant": {"enum": ["gaussian", "dot_product", "rbf", "dirac_delta", "embedded"]},
+            "bandwidth": {"type": ["number", "null"]},
+            "theta": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+            "inner": {"$ref": "urn:nld:kernel"},
+        },
+        required=["variant"],
+    ),
 }
 
-_TASK_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "num_positions": {"type": "integer", "minimum": 1},
-        "num_channels": {"type": "integer", "minimum": 1},
-        "num_classes": {"type": "integer", "minimum": 2},
-        "num_samples": {"type": "integer", "minimum": 2},
-    },
+
+def _kernel(default: dict) -> dict:
+    return {**_KERNEL_SCHEMA, "default": default}
+
+
+_COMMON_PROPS = {
+    "seed": {"type": "integer", "minimum": 0, "default": 0},
+    "out_dir": {"type": ["string", "null"], "default": None},
 }
 
-_STAGE_SCHEMA = {
-    "type": ["object", "null"],
-    "required": ["formulation", "sub_blocks"],
-    "additionalProperties": False,
-    "properties": {
-        "formulation": {"enum": ["proposed", "original"]},
-        "sub_blocks": {"type": "integer", "minimum": 1},
-        "placement": {"type": "integer", "minimum": 0},
-        "kernel": _KERNEL_SCHEMA,
-    },
+_TASK_SCHEMA = _object(
+    {
+        "num_positions": {"type": "integer", "minimum": 1, "default": 10},
+        "num_channels": {"type": "integer", "minimum": 1, "default": 5},
+        "num_classes": {"type": "integer", "minimum": 2, "default": 2},
+        "num_samples": {"type": "integer", "minimum": 2, "default": 512},
+    }
+)
+
+_TRUNK_PROPS = {
+    "trunk_blocks": {"type": "integer", "minimum": 1, "default": 3},
+    "hidden_channels": {"type": "integer", "minimum": 1, "default": 32},
+    "block_gain": {"type": "number", "default": 1.0},
 }
 
-_HYPER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
+# Where the nonlocal stage sits in the trunk and which affinity it uses.
+_PLACEMENT_PROPS = {
+    "placement": {"type": "integer", "minimum": 0, "default": 1},
+    "kernel": _kernel({"variant": "gaussian"}),
+}
+
+_FORMULATION = {"enum": ["proposed", "original"]}
+_SUB_BLOCKS = {"type": "integer", "minimum": 1}
+
+# net.Hyper holds the training defaults; the schema only echoes them.
+_HYPER_SCHEMA = _object(
+    {
         "lr": {"type": "number", "minimum": 0},
         "momentum": {"type": "number", "minimum": 0},
         "weight_decay": {"type": "number", "minimum": 0},
@@ -189,207 +205,122 @@ _HYPER_SCHEMA = {
         "batch_size": {"type": "integer", "minimum": 1},
         "val_fraction": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
     },
-}
+    default={
+        k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(net.Hyper()).items()
+    },
+)
 
-_COMMON_PROPS = {
-    "seed": {"type": "integer", "minimum": 0},
-    "out_dir": {"type": ["string", "null"]},
-}
 
 CONFIG_SCHEMAS = {
-    "verify-theory": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+    "verify-theory": _object(
+        {
             **_COMMON_PROPS,
-            "num_positions": {"type": "integer", "minimum": 2},
-            "num_channels": {"type": "integer", "minimum": 1},
-            "steps": {"type": "integer", "minimum": 3},
-            "weight": {"type": "number"},
-            "bandwidth": {"type": ["number", "null"]},
-            "sinkhorn_tol": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "evolve": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+            "num_positions": {"type": "integer", "minimum": 2, "default": 16},
+            "num_channels": {"type": "integer", "minimum": 1, "default": 2},
+            "steps": {"type": "integer", "minimum": 3, "default": 120},
+            "weight": {"type": "number", "default": 0.5},
+            "bandwidth": {"type": ["number", "null"], "default": None},
+            "sinkhorn_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-13},
+        }
+    ),
+    "evolve": _object(
+        {
             **_COMMON_PROPS,
-            "stepper": {"enum": ["proposed", "original", "markov"]},
-            "num_positions": {"type": "integer", "minimum": 1},
-            "num_channels": {"type": "integer", "minimum": 1},
-            "steps": {"type": "integer", "minimum": 0},
+            "stepper": {"enum": ["proposed", "original", "markov"], "default": "markov"},
+            "num_positions": {"type": "integer", "minimum": 1, "default": 8},
+            "num_channels": {"type": "integer", "minimum": 1, "default": 1},
+            "steps": {"type": "integer", "minimum": 0, "default": 50},
             "weight": {
                 "anyOf": [
                     {"type": "number"},
                     {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                ]
+                ],
+                "default": 1.0,
             },
-            "kernel": _KERNEL_SCHEMA,
-            "normalization": {"enum": ["row", "sinkhorn"]},
-            "record_states": {"type": "boolean"},
-            "initial": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "kind": {"enum": ["normal", "uniform", "explicit"]},
-                    "scale": {"type": "number"},
+            "kernel": _kernel({"variant": "rbf", "bandwidth": None}),
+            "normalization": {"enum": ["row", "sinkhorn"], "default": "sinkhorn"},
+            "record_states": {"type": "boolean", "default": False},
+            "initial": _object(
+                {
+                    "kind": {"enum": ["normal", "uniform", "explicit"], "default": "normal"},
+                    "scale": {"type": "number", "default": 1.0},
                     "values": {
                         "type": "array",
                         "items": {"type": "array", "items": {"type": "number"}},
                     },
-                },
-            },
-        },
-    },
-    "spectrum": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+                }
+            ),
+        }
+    ),
+    "spectrum": _object(
+        {
             **_COMMON_PROPS,
             "input_path": {"type": "string"},
-            "input_kind": {"enum": ["matrix_csv", "checkpoint"]},
-            "sidecar_path": {"type": ["string", "null"]},
-            "top_k": {"type": "integer", "minimum": 1},
+            "input_kind": {"enum": ["matrix_csv", "checkpoint"], "default": "matrix_csv"},
+            "sidecar_path": {"type": ["string", "null"], "default": None},
+            "top_k": {"type": "integer", "minimum": 1, "default": 32},
         },
-        "required": ["input_path"],
-    },
-    "train": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+        required=["input_path"],
+    ),
+    "train": _object(
+        {
             **_COMMON_PROPS,
             "task": _TASK_SCHEMA,
-            "net": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "trunk_blocks": {"type": "integer", "minimum": 1},
-                    "hidden_channels": {"type": "integer", "minimum": 1},
-                    "block_gain": {"type": "number"},
-                    "stage": _STAGE_SCHEMA,
-                },
-            },
+            "net": _object(
+                {
+                    **_TRUNK_PROPS,
+                    "stage": _object(
+                        {
+                            "formulation": {**_FORMULATION, "default": "proposed"},
+                            "sub_blocks": {**_SUB_BLOCKS, "default": 4},
+                            **_PLACEMENT_PROPS,
+                        },
+                        type=["object", "null"],
+                        required=["formulation", "sub_blocks"],
+                    ),
+                }
+            ),
             "hyper": _HYPER_SCHEMA,
-        },
-    },
-    "compare": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
+        }
+    ),
+    "compare": _object(
+        {
             **_COMMON_PROPS,
             "task": _TASK_SCHEMA,
-            "net": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "trunk_blocks": {"type": "integer", "minimum": 1},
-                    "hidden_channels": {"type": "integer", "minimum": 1},
-                    "block_gain": {"type": "number"},
-                    "placement": {"type": "integer", "minimum": 0},
-                    "kernel": _KERNEL_SCHEMA,
-                },
-            },
+            "net": _object({**_TRUNK_PROPS, **_PLACEMENT_PROPS}),
             "variants": {
                 "type": "array",
                 "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["formulation", "sub_blocks"],
-                    "properties": {
-                        "formulation": {"enum": ["proposed", "original"]},
-                        "sub_blocks": {"type": "integer", "minimum": 1},
-                    },
-                },
+                "items": _object(
+                    {"formulation": _FORMULATION, "sub_blocks": _SUB_BLOCKS},
+                    required=["formulation", "sub_blocks"],
+                ),
+                "default": [
+                    {"formulation": "proposed", "sub_blocks": 1},
+                    {"formulation": "proposed", "sub_blocks": 2},
+                    {"formulation": "proposed", "sub_blocks": 4},
+                    {"formulation": "proposed", "sub_blocks": 8},
+                    {"formulation": "original", "sub_blocks": 4},
+                ],
             },
             "hyper": _HYPER_SCHEMA,
-            "parallel": {"type": "boolean"},
-        },
-    },
+        }
+    ),
 }
 
-_DEFAULT_HYPER = {
-    "lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "epochs": 200,
-    "lr_drop_fracs": [81.0 / 164.0, 122.0 / 164.0],
-    "lr_drop_factor": 0.1,
-    "batch_size": 32,
-    "val_fraction": 0.25,
-}
 
-CONFIG_DEFAULTS = {
-    "verify-theory": {
-        "seed": 0,
-        "out_dir": None,
-        "num_positions": 16,
-        "num_channels": 2,
-        "steps": 120,
-        "weight": 0.5,
-        "bandwidth": None,
-        "sinkhorn_tol": 1e-13,
-    },
-    "evolve": {
-        "seed": 0,
-        "out_dir": None,
-        "stepper": "markov",
-        "num_positions": 8,
-        "num_channels": 1,
-        "steps": 50,
-        "weight": 1.0,
-        "kernel": {"variant": "rbf", "bandwidth": None},
-        "normalization": "sinkhorn",
-        "record_states": False,
-        "initial": {"kind": "normal", "scale": 1.0},
-    },
-    "spectrum": {
-        "seed": 0,
-        "out_dir": None,
-        "input_kind": "matrix_csv",
-        "sidecar_path": None,
-        "top_k": 32,
-    },
-    "train": {
-        "seed": 0,
-        "out_dir": None,
-        "task": {"num_positions": 10, "num_channels": 5, "num_classes": 2, "num_samples": 512},
-        "net": {
-            "trunk_blocks": 3,
-            "hidden_channels": 32,
-            "block_gain": 1.0,
-            "stage": {
-                "formulation": "proposed",
-                "sub_blocks": 4,
-                "placement": 1,
-                "kernel": {"variant": "gaussian"},
-            },
-        },
-        "hyper": dict(_DEFAULT_HYPER),
-    },
-    "compare": {
-        "seed": 0,
-        "out_dir": None,
-        "task": {"num_positions": 10, "num_channels": 5, "num_classes": 2, "num_samples": 512},
-        "net": {
-            "trunk_blocks": 3,
-            "hidden_channels": 32,
-            "block_gain": 1.0,
-            "placement": 1,
-            "kernel": {"variant": "gaussian"},
-        },
-        "variants": [
-            {"formulation": "proposed", "sub_blocks": 1},
-            {"formulation": "proposed", "sub_blocks": 2},
-            {"formulation": "proposed", "sub_blocks": 4},
-            {"formulation": "proposed", "sub_blocks": 8},
-            {"formulation": "original", "sub_blocks": 4},
-        ],
-        "hyper": dict(_DEFAULT_HYPER),
-        "parallel": False,
-    },
-}
+def _defaults(schema: dict):
+    """A schema's own "default", else the defaults of its properties."""
+    if "default" in schema:
+        return copy.deepcopy(schema["default"])
+    return {
+        key: _defaults(sub)
+        for key, sub in schema.get("properties", {}).items()
+        if "default" in sub or "properties" in sub
+    }
+
+
+CONFIG_DEFAULTS = {command: _defaults(schema) for command, schema in CONFIG_SCHEMAS.items()}
 
 
 class ConfigError(NldError):
@@ -416,23 +347,21 @@ def resolve_config(command: str, raw: dict, seed=None, out=None) -> dict:
         config["seed"] = int(seed)
     if out is not None:
         config["out_dir"] = str(out)
-    if config.get("out_dir") is None:
+    if config["out_dir"] is None:
         config["out_dir"] = os.environ.get("NLD_OUT", DEFAULT_OUT)
     return config
 
 
 def kernel_spec_from_config(doc: dict) -> kernels.AffinityKernelSpec:
-    variant = doc.get("variant")
-    if variant == "embedded":
-        theta = doc.get("theta")
-        inner = doc.get("inner")
-        if theta is None or inner is None:
-            raise ConfigError("embedded kernel config needs theta and inner")
-        return kernels.AffinityKernelSpec.embedded(
-            np.array(theta, dtype=np.float64), kernel_spec_from_config(inner)
-        )
+    """Every key goes to the spec, which rejects the ones its variant does not take."""
+    theta, inner = doc.get("theta"), doc.get("inner")
     try:
-        return kernels.AffinityKernelSpec(variant, bandwidth=doc.get("bandwidth"))
+        return kernels.AffinityKernelSpec(
+            doc["variant"],
+            bandwidth=doc.get("bandwidth"),
+            theta=None if theta is None else np.array(theta, dtype=np.float64),
+            inner=None if inner is None else kernel_spec_from_config(inner),
+        )
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -634,7 +563,7 @@ def cmd_evolve(config: dict) -> RunReport:
         if Z0.num_positions != M or Z0.num_channels != d:
             raise ConfigError("explicit initial state does not match num_positions/num_channels")
     else:
-        Z0 = _seeded_field(seed, "state", M, d, init["kind"], init.get("scale", 1.0))
+        Z0 = _seeded_field(seed, "state", M, d, init["kind"], init["scale"])
 
     spec = kernel_spec_from_config(config["kernel"])
     weight = config["weight"]
@@ -689,7 +618,7 @@ def cmd_spectrum(config: dict) -> RunReport:
                 raise ValueError(f"matrix is {A.shape[0]} rows x {A.shape[1]} cols, not square")
             targets = {"matrix": A}
         else:
-            sidecar_path = config.get("sidecar_path") or str(path.with_suffix(".json"))
+            sidecar_path = config["sidecar_path"] or str(path.with_suffix(".json"))
             sidecar = json.loads(Path(sidecar_path).read_text())
             params = net.checkpoint_from_bytes(path.read_bytes(), sidecar)
             targets = {
@@ -720,14 +649,22 @@ def cmd_spectrum(config: dict) -> RunReport:
     return _finish(report, out_dir, started)
 
 
-def _net_config_from(doc: dict, task_doc: dict, stage_doc, placement_key="placement") -> net.NetworkConfig:
+def _task_from(config: dict) -> net.SyntheticTask:
+    doc = config["task"]
+    return net.generate_task(
+        doc["num_positions"], doc["num_channels"], doc["num_classes"], doc["num_samples"], config["seed"]
+    )
+
+
+def _net_config_from(config: dict, stage_doc) -> net.NetworkConfig:
+    task_doc, doc = config["task"], config["net"]
     stage = None
     if stage_doc is not None:
         stage = net.StageConfig(
             formulation=stage_doc["formulation"],
             sub_blocks=stage_doc["sub_blocks"],
-            kernel=kernel_spec_from_config(stage_doc.get("kernel", {"variant": "gaussian"})),
-            placement=stage_doc.get(placement_key, 1),
+            kernel=kernel_spec_from_config(stage_doc["kernel"]),
+            placement=stage_doc["placement"],
         )
     return net.NetworkConfig.with_stage(
         task_doc["num_positions"],
@@ -736,24 +673,15 @@ def _net_config_from(doc: dict, task_doc: dict, stage_doc, placement_key="placem
         doc["trunk_blocks"],
         doc["hidden_channels"],
         stage,
-        doc.get("block_gain", 1.0),
+        doc["block_gain"],
     )
 
 
 def _hyper_from(doc: dict) -> net.Hyper:
-    return net.Hyper(
-        lr=doc["lr"],
-        momentum=doc["momentum"],
-        weight_decay=doc["weight_decay"],
-        epochs=doc["epochs"],
-        lr_drop_fracs=tuple(doc["lr_drop_fracs"]),
-        lr_drop_factor=doc["lr_drop_factor"],
-        batch_size=doc["batch_size"],
-        val_fraction=doc["val_fraction"],
-    )
+    return net.Hyper(**{**doc, "lr_drop_fracs": tuple(doc["lr_drop_fracs"])})
 
 
-def _spectra_checks(report: RunReport, history, config_formulation: str, out_dir: Path, prefix=""):
+def _spectra_checks(report: RunReport, history, config_formulation: str, prefix=""):
     """Soft sign-majority expectations, per the qualitative findings."""
     if history.diverged or not history.final_stage_weights:
         return
@@ -775,15 +703,8 @@ def cmd_train(config: dict) -> RunReport:
     started = time.monotonic()
     out_dir = Path(config["out_dir"])
     report = RunReport("train", config)
-    task_doc = config["task"]
-    task = net.generate_task(
-        task_doc["num_positions"],
-        task_doc["num_channels"],
-        task_doc["num_classes"],
-        task_doc["num_samples"],
-        config["seed"],
-    )
-    net_config = _net_config_from(config["net"], task_doc, config["net"]["stage"])
+    task = _task_from(config)
+    net_config = _net_config_from(config, config["net"]["stage"])
     hyper = _hyper_from(config["hyper"])
     history = net.train(net_config, task, hyper, seed=config["seed"])
 
@@ -803,7 +724,7 @@ def cmd_train(config: dict) -> RunReport:
             CheckResult("final_train_acc", "pass", measured=last.train_acc)
         )
     if net_config.stages:
-        _spectra_checks(report, history, net_config.stages[0].formulation, out_dir)
+        _spectra_checks(report, history, net_config.stages[0].formulation)
 
     report.artifacts.append(_write_text(out_dir, "history.csv", history.to_csv()))
     blob, sidecar = net.checkpoint_bytes(history.final_params)
@@ -827,32 +748,15 @@ def cmd_compare(config: dict) -> RunReport:
     started = time.monotonic()
     out_dir = Path(config["out_dir"])
     report = RunReport("compare", config)
-    task_doc = config["task"]
-    task = net.generate_task(
-        task_doc["num_positions"],
-        task_doc["num_channels"],
-        task_doc["num_classes"],
-        task_doc["num_samples"],
-        config["seed"],
-    )
+    task = _task_from(config)
     hyper = _hyper_from(config["hyper"])
-
-    def run_variant(variant):
-        stage_doc = {
-            "formulation": variant["formulation"],
-            "sub_blocks": variant["sub_blocks"],
-            "placement": config["net"]["placement"],
-            "kernel": config["net"]["kernel"],
-        }
-        net_config = _net_config_from(config["net"], task_doc, stage_doc)
-        return net.train(net_config, task, hyper, seed=config["seed"])
-
+    net_doc = config["net"]
     variants = config["variants"]
-    if config["parallel"] and len(variants) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(variants))) as pool:
-            histories = list(pool.map(run_variant, variants))
-    else:
-        histories = [run_variant(v) for v in variants]
+    histories = []
+    for variant in variants:
+        stage_doc = {**variant, "placement": net_doc["placement"], "kernel": net_doc["kernel"]}
+        net_config = _net_config_from(config, stage_doc)
+        histories.append(net.train(net_config, task, hyper, seed=config["seed"]))
 
     rows = ["formulation,sub_blocks,final_train_loss,final_val_acc,diverged"]
     results = {}
@@ -871,7 +775,6 @@ def cmd_compare(config: dict) -> RunReport:
             report,
             history,
             variant["formulation"],
-            out_dir,
             prefix=f"{variant['formulation']}_N{variant['sub_blocks']}_",
         )
     report.artifacts.append(_write_text(out_dir, "comparison.csv", "\n".join(rows) + "\n"))

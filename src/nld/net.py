@@ -599,12 +599,26 @@ def checkpoint_bytes(params: dict):
 
 
 def checkpoint_from_bytes(blob: bytes, sidecar: dict) -> dict:
+    """Inverse of checkpoint_bytes; a malformed sidecar raises ValueError."""
+    if not isinstance(sidecar, dict):
+        raise ValueError("checkpoint sidecar is not a JSON object")
     if sidecar.get("dtype") != "float64" or sidecar.get("byte_order") != "little":
         raise ValueError("unsupported checkpoint encoding")
+    if not isinstance(sidecar.get("tensors"), list):
+        raise ValueError("checkpoint sidecar has no tensors list")
     params = {}
     offset = 0
     for entry in sidecar["tensors"]:
-        shape = tuple(int(x) for x in entry["shape"])
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(n, int) for n in entry["shape"])
+        ):
+            raise ValueError(f"checkpoint tensor entry needs a name and a shape list of integers: {entry!r}")
+        shape = tuple(entry["shape"])
+        if any(n < 0 for n in shape):
+            raise ValueError(f"checkpoint tensor {entry['name']!r} has a negative dimension: {list(shape)}")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):

@@ -5,6 +5,7 @@ temp directory, and assertions are made against the exit code, the
 rendered report.json, and the artifact files themselves.
 """
 
+import dataclasses
 import json
 import math
 import shutil
@@ -17,6 +18,7 @@ import pytest
 from nld import net
 from nld.cli import (
     CONFIG_DEFAULTS,
+    CONFIG_SCHEMAS,
     RUN_REPORT_SCHEMA,
     CheckResult,
     ConfigError,
@@ -42,6 +44,89 @@ TINY_NET = {
     },
 }
 TINY_HYPER = {"epochs": 3, "batch_size": 8}
+
+# What `{}` resolves to for each command (spectrum needs its input_path).
+HYPER_DEFAULTS = {
+    "lr": 0.1,
+    "momentum": 0.9,
+    "weight_decay": 1e-4,
+    "epochs": 200,
+    "lr_drop_fracs": [81.0 / 164.0, 122.0 / 164.0],
+    "lr_drop_factor": 0.1,
+    "batch_size": 32,
+    "val_fraction": 0.25,
+}
+TASK_DEFAULTS = {"num_positions": 10, "num_channels": 5, "num_classes": 2, "num_samples": 512}
+RESOLVED_DEFAULTS = {
+    "verify-theory": {
+        "seed": 0,
+        "out_dir": "nld-out",
+        "num_positions": 16,
+        "num_channels": 2,
+        "steps": 120,
+        "weight": 0.5,
+        "bandwidth": None,
+        "sinkhorn_tol": 1e-13,
+    },
+    "evolve": {
+        "seed": 0,
+        "out_dir": "nld-out",
+        "stepper": "markov",
+        "num_positions": 8,
+        "num_channels": 1,
+        "steps": 50,
+        "weight": 1.0,
+        "kernel": {"variant": "rbf", "bandwidth": None},
+        "normalization": "sinkhorn",
+        "record_states": False,
+        "initial": {"kind": "normal", "scale": 1.0},
+    },
+    "spectrum": {
+        "seed": 0,
+        "out_dir": "nld-out",
+        "input_path": "m.csv",
+        "input_kind": "matrix_csv",
+        "sidecar_path": None,
+        "top_k": 32,
+    },
+    "train": {
+        "seed": 0,
+        "out_dir": "nld-out",
+        "task": TASK_DEFAULTS,
+        "net": {
+            "trunk_blocks": 3,
+            "hidden_channels": 32,
+            "block_gain": 1.0,
+            "stage": {
+                "formulation": "proposed",
+                "sub_blocks": 4,
+                "placement": 1,
+                "kernel": {"variant": "gaussian"},
+            },
+        },
+        "hyper": HYPER_DEFAULTS,
+    },
+    "compare": {
+        "seed": 0,
+        "out_dir": "nld-out",
+        "task": TASK_DEFAULTS,
+        "net": {
+            "trunk_blocks": 3,
+            "hidden_channels": 32,
+            "block_gain": 1.0,
+            "placement": 1,
+            "kernel": {"variant": "gaussian"},
+        },
+        "variants": [
+            {"formulation": "proposed", "sub_blocks": 1},
+            {"formulation": "proposed", "sub_blocks": 2},
+            {"formulation": "proposed", "sub_blocks": 4},
+            {"formulation": "proposed", "sub_blocks": 8},
+            {"formulation": "original", "sub_blocks": 4},
+        ],
+        "hyper": HYPER_DEFAULTS,
+    },
+}
 
 
 def run_cli(tmp_path, command, config, tag="run"):
@@ -78,17 +163,17 @@ def csv_columns(path):
 
 def test_empty_config_takes_defaults(monkeypatch):
     monkeypatch.delenv("NLD_OUT", raising=False)
-    config = resolve_config("verify-theory", {})
-    assert config["seed"] == 0
-    assert config["num_positions"] == 16
-    assert config["steps"] == 120
-    assert config["weight"] == 0.5
-    assert config["out_dir"] == "nld-out"
+    for command, expected in RESOLVED_DEFAULTS.items():
+        raw = {"input_path": "m.csv"} if command == "spectrum" else {}
+        assert resolve_config(command, raw) == expected, command
+        jsonschema.validate({**CONFIG_DEFAULTS[command], **raw}, CONFIG_SCHEMAS[command])
 
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="config rejected"):
         resolve_config("verify-theory", {"bogus": 1})
+    with pytest.raises(ConfigError, match="'parallel' was unexpected"):
+        resolve_config("compare", {"parallel": False})
 
 
 def test_unknown_nested_key_rejected():
@@ -129,6 +214,10 @@ def test_deep_merge_preserves_sibling_defaults():
     assert config["task"]["num_samples"] == 512
     # The shared defaults table must not absorb the override.
     assert CONFIG_DEFAULTS["train"]["hyper"]["epochs"] == 200
+    # net.Hyper is where the training defaults live.
+    hyper = dataclasses.asdict(net.Hyper())
+    hyper["lr_drop_fracs"] = list(hyper["lr_drop_fracs"])
+    assert CONFIG_DEFAULTS["train"]["hyper"] == CONFIG_DEFAULTS["compare"]["hyper"] == hyper
 
 
 def test_resolved_config_round_trips():
@@ -381,6 +470,63 @@ def test_evolve_explicit_initial_shape_mismatch_exits_2(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        (
+            {"variant": "embedded", "theta": [[1.0]], "inner": {"variant": "gaussian", "bogus": 3}},
+            "'bogus' was unexpected",
+        ),
+        ({"variant": "gaussian", "theta": [[1.0]]}, "only apply to the embedded variant"),
+        ({"variant": "gaussian", "inner": {"variant": "rbf"}}, "only apply to the embedded variant"),
+        ({"variant": "embedded", "theta": [[1.0]]}, "need both theta and an inner spec"),
+        (
+            {
+                "variant": "embedded",
+                "theta": [[1.0]],
+                "inner": {"variant": "embedded", "theta": [[1.0]], "inner": {"variant": "gaussian"}},
+            },
+            "do not nest",
+        ),
+    ],
+    ids=["inner_unknown_key", "theta_on_gaussian", "inner_on_gaussian", "no_inner", "nested"],
+)
+def test_evolve_misplaced_kernel_keys_exit_2(tmp_path, capsys, kernel, message):
+    code, _ = run_cli(tmp_path, "evolve", {"kernel": kernel})
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_evolve_embedded_kernel_projects_features(tmp_path):
+    # theta keeps the first channel only, so the embedded kernel is the
+    # rbf kernel on that channel and the second channel's values are ignored.
+    code, out = run_cli(
+        tmp_path,
+        "evolve",
+        {
+            "stepper": "markov",
+            "num_positions": 2,
+            "num_channels": 2,
+            "steps": 20,
+            "normalization": "row",
+            "kernel": {
+                "variant": "embedded",
+                "theta": [[1.0, 0.0]],
+                "inner": {"variant": "rbf", "bandwidth": TWO_STATE_BANDWIDTH},
+            },
+            "initial": {"kind": "explicit", "values": [[1.0, 5.0], [-1.0, -3.0]]},
+        },
+    )
+    assert code == 0
+    report = read_report(out)
+    assert report["config"]["kernel"]["inner"] == {"variant": "rbf", "bandwidth": TWO_STATE_BANDWIDTH}
+    cols = csv_columns(out / "trajectory.csv")
+    # Row-normalized [[0.9, 0.1], [0.1, 0.9]] shrinks each centered channel
+    # by 0.8 per step; the channel variances 1 and 16 add up.
+    for n, var in enumerate(cols["variance"]):
+        assert float(var) == pytest.approx(17.0 * 0.8 ** (2 * n), rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # spectrum.
 # ---------------------------------------------------------------------------
@@ -438,6 +584,38 @@ def test_spectrum_reads_training_checkpoint(tmp_path):
         assert check_by_name(report, f"classified_{name}")["status"] == "pass"
         assert (out / f"spectrum_{name}.json").exists()
         assert (out / f"spectrum_{name}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        ([1, 2], "not a JSON object"),
+        ({"dtype": "float64", "byte_order": "little"}, "no tensors list"),
+        ({"dtype": "float64", "byte_order": "little", "tensors": [{"shape": [1]}]}, "needs a name"),
+        ({"dtype": "float64", "byte_order": "little", "tensors": [{"name": "a"}]}, "a shape list"),
+        (
+            {"dtype": "float64", "byte_order": "little", "tensors": [{"name": "a", "shape": [None]}]},
+            "a shape list of integers",
+        ),
+        (
+            {"dtype": "float64", "byte_order": "little", "tensors": [{"name": "a", "shape": [-1, -1]}]},
+            "negative dimension",
+        ),
+    ],
+    ids=["list", "no_tensors", "no_name", "no_shape", "null_dim", "negative_dims"],
+)
+def test_spectrum_malformed_sidecar_is_unreadable_input(tmp_path, sidecar, message):
+    (tmp_path / "ck.bin").write_bytes(b"\x00" * 8)
+    (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+    code, out = run_cli(
+        tmp_path,
+        "spectrum",
+        {"input_path": str(tmp_path / "ck.bin"), "input_kind": "checkpoint"},
+    )
+    assert code == 1
+    check = check_by_name(read_report(out), "input_readable")
+    assert check["status"] == "fail"
+    assert message in check["detail"]
 
 
 def test_spectrum_checkpoint_without_stage_tensors_fails(tmp_path):
@@ -566,22 +744,6 @@ def test_compare_ordering_check_with_divergent_runs(tmp_path):
         assert loss == "inf"
         assert vacc == "nan"
         assert diverged == "true"
-
-
-def test_compare_parallel_matches_sequential(tmp_path):
-    base = {
-        "task": TINY_TASK,
-        "net": {"trunk_blocks": 2, "hidden_channels": 3},
-        "variants": [
-            {"formulation": "proposed", "sub_blocks": 1},
-            {"formulation": "proposed", "sub_blocks": 2},
-        ],
-        "hyper": TINY_HYPER,
-    }
-    _, out_seq = run_cli(tmp_path, "compare", {**base, "parallel": False}, tag="seq")
-    _, out_par = run_cli(tmp_path, "compare", {**base, "parallel": True}, tag="par")
-    for name in ("comparison.csv", "history_proposed_N1.csv", "history_proposed_N2.csv"):
-        assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nld import (
     AffinityKernelSpec,
@@ -460,3 +463,29 @@ def test_checkpoint_rejects_corruption():
         checkpoint_from_bytes(blob + b"\x00" * 8, sidecar)
     with pytest.raises(ValueError):
         checkpoint_from_bytes(blob, {"dtype": "float32", "byte_order": "little", "tensors": []})
+
+
+drawn_params = st.dictionaries(
+    st.text(min_size=1, max_size=6),
+    arrays(
+        np.float64,
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=4,
+)
+
+
+@given(params=drawn_params)
+def test_checkpoint_round_trip_on_drawn_params(params):
+    blob, sidecar = checkpoint_bytes(params)
+    back = checkpoint_from_bytes(blob, sidecar)
+    assert list(back) == list(params)
+    for name, value in params.items():
+        assert back[name].shape == value.shape
+        assert back[name].tobytes() == value.tobytes()
+    if blob:
+        with pytest.raises(ValueError, match="shorter"):
+            checkpoint_from_bytes(blob[:-1], sidecar)
+    with pytest.raises(ValueError, match="longer"):
+        checkpoint_from_bytes(blob + b"\x00", sidecar)
