@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from . import dynamics, kernels, net, operators
 from .errors import BlowUpError, NldError
 from .fields import FeatureField, load_matrix_csv, save_matrix_csv
 from .rng import SplitMix64, derive_seed
-from .spectrum import eig_symmetric, spectrum_report
+from .spectrum import spectrum_report
 
 DEFAULT_OUT = "nld-out"
 
@@ -109,7 +110,7 @@ class RunReport:
             "wall_time_seconds": float(self.wall_time_seconds),
             "overall": self.overall,
         }
-        jsonschema.validate(doc, RUN_REPORT_SCHEMA)
+        _validate(doc, "report")
         return doc
 
 
@@ -327,6 +328,26 @@ class ConfigError(NldError):
     pass
 
 
+@functools.cache
+def _validator(name: str):
+    """The validator of the report schema or of one command's config schema.
+
+    Built on first use, so the schema is checked against its metaschema
+    once per process rather than on every validation (and not at import).
+    """
+    schema = RUN_REPORT_SCHEMA if name == "report" else CONFIG_SCHEMAS[name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc, name: str) -> None:
+    """jsonschema.validate against a cached validator: raises the same best-match error."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def _merge_defaults(defaults, override):
     if isinstance(defaults, dict) and isinstance(override, dict):
         merged = {k: copy.deepcopy(v) for k, v in defaults.items()}
@@ -339,7 +360,7 @@ def _merge_defaults(defaults, override):
 def resolve_config(command: str, raw: dict, seed=None, out=None) -> dict:
     """Validate, merge over defaults, apply flag overrides, fix out_dir."""
     try:
-        jsonschema.validate(raw, CONFIG_SCHEMAS[command])
+        _validate(raw, command)
     except jsonschema.ValidationError as err:
         raise ConfigError(f"config rejected: {err.message}") from err
     config = _merge_defaults(CONFIG_DEFAULTS[command], raw)
@@ -490,7 +511,7 @@ def cmd_verify_theory(config: dict) -> RunReport:
         )
     )
 
-    vals, vecs = eig_symmetric(K.entries)
+    vals, vecs = K.spectrum()
     lam2 = float(vals[1])
     factor = 1.0 - w * (1.0 - lam2)
     min_factor = float(np.min(1.0 + w * (vals - 1.0)))

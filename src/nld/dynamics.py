@@ -26,7 +26,6 @@ from .errors import BlowUpError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
 from .kernels import AffinityKernelSpec, KernelMatrix
 from .operators import apply_diffusion, apply_original, markov_matrix
-from .spectrum import eig_symmetric
 
 # Evolution aborts once any entry magnitude passes this.
 BLOWUP_LIMIT = 1e12
@@ -277,7 +276,7 @@ def cfl_verdict(K: KernelMatrix, w: float) -> StabilityVerdict:
         raise ValueError("the spectral stability criterion needs a symmetric kernel")
     if not K.doubly_stochastic:
         raise ValueError("the spectral stability criterion needs a doubly stochastic kernel")
-    vals, _ = eig_symmetric(K.entries)
+    vals, _ = K.spectrum()
     amps = np.abs(1.0 + float(w) * (vals - 1.0))
     radius = float(np.max(amps))
     mu_min = float(np.min(vals))
@@ -420,7 +419,7 @@ def poincare_constant(K: KernelMatrix) -> float:
         raise ValueError("the Poincare constant needs a symmetric doubly stochastic kernel")
     if K.size < 2:
         return 0.0
-    vals, _ = eig_symmetric(K.entries)
+    vals, _ = K.spectrum()
     m = 1.0 - float(vals[1])
     if m <= 1e-10:
         return 0.0

@@ -26,11 +26,13 @@ Two normalization routes are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
+from . import spectrum as _spectrum
 from .errors import ConvergenceError, DegenerateRowError, NonFiniteError
 from .fields import FeatureField, _frozen_array
 
@@ -294,6 +296,7 @@ class KernelMatrix:
 
     The flags are measured from the entries at construction time (to
     FLAG_TOL), never asserted by callers, so a True flag is trustworthy.
+    The entries are read-only, so the spectrum is computed at most once.
     """
 
     entries: np.ndarray = dc_field(repr=False)
@@ -326,6 +329,16 @@ class KernelMatrix:
             row_stochastic=flags["row_stochastic"],
             doubly_stochastic=flags["doubly_stochastic"],
         )
+
+    def spectrum(self):
+        """(eigenvalues, eigenvectors) of the entries, as :func:`eig_symmetric`
+        returns them; decomposed on the first call, read-only, then reused."""
+        return self._decomposition
+
+    @functools.cached_property
+    def _decomposition(self):
+        vals, vecs = _spectrum.eig_symmetric(self.entries)
+        return _frozen_array(vals), _frozen_array(vecs)
 
     def flags(self) -> dict:
         return {

@@ -6,16 +6,18 @@ rendered report.json, and the artifact files themselves.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from nld import net
+from nld import net, spectrum
 from nld.cli import (
     CONFIG_DEFAULTS,
     CONFIG_SCHEMAS,
@@ -27,6 +29,18 @@ from nld.cli import (
     resolve_config,
 )
 from nld.fields import save_matrix_csv
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's verify-theory checks; it holds every one of them as hard.
+VERIFY_THEORY_CHECKS = _benchmark_workloads().VERIFY_THEORY_CHECKS
 
 # Bandwidth making the rbf kernel on positions (1, -1) row-normalize to
 # [[0.9, 0.1], [0.1, 0.9]]: exp(-4 / (2 h^2)) = 1/9.
@@ -316,6 +330,32 @@ def test_verify_theory_stable_weight_all_pass(tmp_path, capsys):
     assert "OVERALL: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("M", [7, 17, 33])
+def test_verify_theory_odd_sizes_pass_every_check(tmp_path, M):
+    """Odd M puts a dummy slot in the round-robin eigensolver."""
+    code, out = run_cli(tmp_path, "verify-theory", {"num_positions": M})
+    assert code == 0
+    report = read_report(out)
+    assert report["overall"] == "pass"
+    for name in VERIFY_THEORY_CHECKS:
+        assert check_by_name(report, name)["status"] == "pass", name
+
+
+def test_verify_theory_decomposes_its_kernel_once(tmp_path, monkeypatch):
+    sizes = []
+    eig_symmetric = spectrum.eig_symmetric
+
+    def counted(A, *args, **kwargs):
+        sizes.append(len(A))
+        return eig_symmetric(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eig_symmetric", counted)
+    code, out = run_cli(tmp_path, "verify-theory", {"num_positions": 12})
+    assert code == 0
+    assert read_report(out)["overall"] == "pass"
+    assert sizes == [12]
+
+
 def test_verify_theory_unstable_weight_is_expected_fail(tmp_path):
     code, out = run_cli(
         tmp_path,
@@ -549,6 +589,22 @@ def test_spectrum_on_matrix_csv(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "classified_matrix" in captured
     assert "OVERALL: PASS" in captured
+
+
+def test_spectrum_on_odd_size_matrix_csv(tmp_path):
+    X = np.random.default_rng(3).standard_normal((9, 9))
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(save_matrix_csv(X))
+    code, out = run_cli(tmp_path, "spectrum", {"input_path": str(matrix)})
+    assert code == 0
+    report = read_report(out)
+    assert check_by_name(report, "classified_matrix")["status"] == "pass"
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    # numpy's LAPACK eigvalsh is the oracle, on the test side only.
+    S = 0.5 * (X + X.T)
+    expected = np.linalg.eigvalsh(S)[::-1]
+    assert np.max(np.abs(values - expected)) <= 1e-12 * float(np.linalg.norm(S))
 
 
 def test_spectrum_rejects_non_square_matrix(tmp_path):

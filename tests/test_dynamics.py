@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nld
 from nld import (
     AffinityKernelSpec,
     BlowUpError,
@@ -362,6 +363,23 @@ def test_decay_rate_stable_weighted_proposed():
     eigstart = FeatureField(vecs[:, 1][:, None])
     fit = estimate_decay_rate(evolve(eigstart, ProposedStepper(K, w), 60))
     assert fit.lambda_hat == pytest.approx(-math.log(1.0 - w * (1.0 - lam2)), rel=1e-6)
+
+
+def test_spectral_checks_reuse_the_kernel_spectrum(monkeypatch):
+    K = make_balanced_kernel(21, 9)
+    vals, vecs = K.spectrum()
+    assert K.spectrum()[0] is vals and K.spectrum()[1] is vecs
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 0.0
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("the kernel was decomposed again")
+
+    monkeypatch.setattr(nld.spectrum, "eig_symmetric", no_decomposition)
+    assert cfl_verdict(K, 0.5).spectral_radius == np.max(np.abs(1.0 + 0.5 * (vals - 1.0)))
+    assert poincare_constant(K) == 1.0 - vals[1]
 
 
 # Poincare constant

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nld import (
     NonFiniteError,
@@ -14,6 +16,7 @@ from nld import (
     spectrum_report,
     symmetrize,
 )
+from nld.spectrum import _round_robin_shift
 
 
 def random_symmetric(seed, n):
@@ -161,6 +164,57 @@ def test_eig_one_by_one_and_zero_matrix():
     assert np.array_equal(vals, [7.0]) and np.array_equal(vecs, [[1.0]])
     vals, vecs = eig_symmetric(np.zeros((3, 3)))
     assert np.array_equal(vals, np.zeros(3)) and np.array_equal(vecs, np.eye(3))
+
+
+def test_round_robin_sweep_meets_every_pair_once():
+    for m in range(2, 21, 2):
+        shift = _round_robin_shift(m)
+        slots = np.arange(m)  # slots[j] = index sitting at slot j
+        met = []
+        for _round in range(m - 1):
+            met += [frozenset((slots[k], slots[k + m // 2])) for k in range(m // 2)]
+            slots = slots[shift]
+        assert len(met) == len(set(met)) == m * (m - 1) // 2
+        assert np.array_equal(slots, np.arange(m))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices up to 40x40, odd sizes included, with some ties.
+
+    general      entries drawn from a seeded generator, at a drawn scale
+    diagonal     a diagonal with repeated values
+    conjugated   a diagonal with repeated values in a random orthonormal basis
+    blocks       block-diagonal copies of one symmetric block
+    """
+    kind = draw(st.sampled_from(["general", "diagonal", "conjugated", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "blocks":
+        b = draw(st.integers(1, 6))
+        B = rng.standard_normal((b, b))
+        return np.kron(np.eye(draw(st.integers(1, 40 // b))), B + B.T)
+    n = draw(st.integers(1, 40))
+    if kind == "general":
+        X = rng.standard_normal((n, n)) * 10.0 ** draw(st.integers(-3, 3))
+        return 0.5 * (X + X.T)
+    values = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    if kind == "diagonal":
+        return np.diag(values)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(values) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+@given(symmetric_matrices())
+def test_eig_agrees_with_lapack_on_drawn_matrices(A):
+    """numpy's LAPACK eigh is the oracle here, on the test side only."""
+    n = A.shape[0]
+    fnorm = float(np.linalg.norm(A))
+    vals, vecs = eig_symmetric(A)
+    assert np.max(np.abs(vals - np.linalg.eigh(A)[0][::-1])) <= 1e-12 * max(1.0, fnorm)
+    assert float(np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - A)) <= 1e-9 * fnorm
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-10
+    assert np.all(np.diff(vals) <= 0.0)
 
 
 # classification rule
