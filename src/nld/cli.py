@@ -30,9 +30,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import dynamics, kernels, net, operators
+from . import dynamics, kernels, net
 from .errors import BlowUpError, NldError
-from .fields import FeatureField, load_matrix_csv, save_matrix_csv
+from .fields import FeatureField, load_matrix_csv
 from .rng import SplitMix64, derive_seed
 from .spectrum import spectrum_report
 
@@ -357,8 +357,22 @@ def _merge_defaults(defaults, override):
     return copy.deepcopy(override)
 
 
+def _reject_non_finite(doc, where: str) -> None:
+    # json.loads reads NaN, Infinity and overflowing literals such as 1e999
+    # as non-finite floats, and the schemas' "number" type lets them through.
+    if isinstance(doc, float) and not np.isfinite(doc):
+        raise ConfigError(f"config rejected: {where or 'the config'} is {doc!r}, not a finite number")
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _reject_non_finite(value, f"{where}.{key}" if where else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _reject_non_finite(value, f"{where}[{i}]")
+
+
 def resolve_config(command: str, raw: dict, seed=None, out=None) -> dict:
     """Validate, merge over defaults, apply flag overrides, fix out_dir."""
+    _reject_non_finite(raw, "")
     try:
         _validate(raw, command)
     except jsonschema.ValidationError as err:
@@ -425,7 +439,7 @@ def cmd_verify_theory(config: dict) -> RunReport:
 
     Z0 = _seeded_field(seed, "state", M, d)
     const = FeatureField(np.ones((M, d)) * 0.7)
-    dev_const = float(np.max(np.abs(operators.apply_diffusion(K, const).values)))
+    dev_const = float(np.max(np.abs(dynamics.apply_diffusion(K, const).values)))
     report.checks.append(
         CheckResult(
             "constant_annihilation",
@@ -434,7 +448,7 @@ def cmd_verify_theory(config: dict) -> RunReport:
             threshold=1e-12,
         )
     )
-    LZ = operators.apply_diffusion(K, Z0).values
+    LZ = dynamics.apply_diffusion(K, Z0).values
     mean_zero = float(np.max(np.abs(LZ.sum(axis=0))))
     report.checks.append(
         CheckResult(
@@ -552,9 +566,7 @@ def cmd_verify_theory(config: dict) -> RunReport:
         CheckResult("poincare_positive", "pass" if m > 0 else "fail", measured=m, threshold=0.0)
     )
     centered = Z0.values - Z0.values.mean(axis=0)
-    sq = np.sum(centered * centered, axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
-    lhs = float(np.sum(K.entries * pair))
+    lhs = float(np.sum(K.entries * dynamics._pair_distances(centered)))
     rhs = 2.0 * m * float(np.sum(centered * centered))
     report.checks.append(
         CheckResult(

@@ -1,6 +1,16 @@
-"""Time evolution of the nonlocal formulations and the decay theory checks.
+"""The nonlocal operators, their time evolution and the decay theory checks.
 
-Three steppers share one evolve loop:
+Three operators act on a feature field Z:
+
+* the linear diffusion operator, (L Z)_i = sum_j K_ij (Z_j - Z_i), with K
+  a fixed stochastic kernel.  Rows of K sum to 1, so this is K Z - Z.
+* the original block's nonlinear operator, rownorm(omega(Z)) Z: the
+  kernel re-evaluated on Z itself, row-normalized and applied to Z.  Its
+  dependence on Z is what makes it nonlinear.
+* the Markov operator Z -> K Z for nonnegative row-stochastic K.
+
+Application is matrix-free O(M^2 d).  Three steppers share one evolve
+loop, one operator each:
 
 * proposed: Z <- Z + W * (K Z - Z) with the kernel K fixed for the whole
   run (it was computed from the stage input once).
@@ -24,8 +34,7 @@ import numpy as np
 
 from .errors import BlowUpError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
-from .kernels import AffinityKernelSpec, KernelMatrix
-from .operators import apply_diffusion, apply_original, markov_matrix
+from .kernels import AffinityKernelSpec, KernelMatrix, build_kernel_matrix, normalize_rows
 
 # Evolution aborts once any entry magnitude passes this.
 BLOWUP_LIMIT = 1e12
@@ -63,10 +72,6 @@ class StageWeights:
         object.__setattr__(self, "per_step", tuple(norm))
 
     @classmethod
-    def scalar(cls, w: float) -> "StageWeights":
-        return cls((float(w),))
-
-    @classmethod
     def coerce(cls, weights) -> "StageWeights":
         if isinstance(weights, StageWeights):
             return weights
@@ -81,40 +86,49 @@ class StageWeights:
             raise ValueError(f"{len(self.per_step)} weights cannot cover {total} steps")
         return self.per_step[n]
 
-    def all_matrices(self) -> bool:
-        return all(isinstance(w, np.ndarray) for w in self.per_step)
+
+def _check_diffusion(K: KernelMatrix, Z: FeatureField) -> None:
+    if K.size != Z.num_positions:
+        raise ValueError(
+            f"kernel is {K.size}x{K.size} but the field has {Z.num_positions} positions"
+        )
+    if not K.row_stochastic:
+        raise ValueError("diffusion needs a row- or doubly-stochastic kernel (normalize first)")
 
 
-def _apply_weight(update: np.ndarray, w, num_channels: int) -> np.ndarray:
-    if isinstance(w, np.ndarray):
-        if w.shape != (num_channels, num_channels):
-            raise ValueError(
-                f"weight shape {w.shape} does not match {num_channels} channels"
-            )
-        # W acts on each position's channel vector from the left.
-        return update @ w.T
-    return w * update
+def apply_diffusion(K: KernelMatrix, Z: FeatureField) -> FeatureField:
+    """(L Z)_i = sum_j K_ij (Z_j - Z_i), channel-wise.
+
+    The stochastic precondition means sum_j K_ij = 1, so the result is
+    computed as K Z - Z; that makes the Markov / stage equivalence an
+    identity rather than an approximation.
+    """
+    _check_diffusion(K, Z)
+    return FeatureField(K.entries @ Z.values - Z.values)
+
+
+def _weighted(w: WeightLike, update: np.ndarray) -> np.ndarray:
+    """W * update for a scalar w or a d x d matrix acting on each position's
+    channel vector from the left."""
+    if isinstance(w, (int, float)):
+        return float(w) * update
+    W = np.asarray(w, dtype=np.float64)
+    d = update.shape[1]
+    if W.shape != (d, d):
+        raise ValueError(f"weight must be a scalar or a {d}x{d} matrix, got shape {W.shape}")
+    return update @ W.T
 
 
 def step_proposed(Z: FeatureField, K: KernelMatrix, W: WeightLike) -> FeatureField:
-    """One proposed sub-step: Z + W * (diffusion of Z under the fixed K)."""
-    D = apply_diffusion(K, Z)
-    return FeatureField(Z.values + _apply_weight(D.values, _coerce_weight(W), Z.num_channels))
+    """One proposed sub-step: Z + W * (K Z - Z), under the fixed K."""
+    _check_diffusion(K, Z)
+    return FeatureField(Z.values + _weighted(W, K.entries @ Z.values - Z.values))
 
 
 def step_original(Z: FeatureField, spec: AffinityKernelSpec, W: WeightLike) -> FeatureField:
-    """One original block: Z + W * (row-normalized weighted sum over Z itself)."""
-    Y = -apply_original(spec, Z).values  # the positive-sign normalized sum
-    return FeatureField(Z.values + _apply_weight(Y, _coerce_weight(W), Z.num_channels))
-
-
-def _coerce_weight(w):
-    if isinstance(w, (int, float)):
-        return float(w)
-    W = np.asarray(w, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError(f"weight must be a scalar or square matrix, got shape {W.shape}")
-    return W
+    """One original block: Z + W * rownorm(omega(Z)) Z, the kernel built on Z."""
+    P = normalize_rows(build_kernel_matrix(Z, spec)).entries
+    return FeatureField(Z.values + _weighted(W, P @ Z.values))
 
 
 @dataclass(frozen=True)
@@ -201,7 +215,10 @@ class MarkovStepper:
     name = "markov"
 
     def __init__(self, kernel: KernelMatrix):
-        markov_matrix(kernel)  # validates nonnegativity and stochasticity
+        if not kernel.nonnegative:
+            raise ValueError("a Markov matrix must be entrywise nonnegative")
+        if not kernel.row_stochastic:
+            raise ValueError("a Markov matrix must be row stochastic")
         self.kernel = kernel
 
     def advance(self, Z: FeatureField, n: int, total: int) -> FeatureField:
@@ -288,23 +305,6 @@ def cfl_verdict(K: KernelMatrix, w: float) -> StabilityVerdict:
     )
 
 
-def reverse_evolve(
-    Z0: FeatureField,
-    K: KernelMatrix,
-    w: float,
-    num_steps: int,
-    record_states: bool = False,
-) -> TrajectoryRecord:
-    """Run the proposed stepper with weight -w (the time-reversed chain).
-
-    Growth is bounded per step (factor at most 1 + 2w for symmetric
-    doubly stochastic K) but compounds, so blow-up detection stays armed.
-    """
-    if not (isinstance(w, (int, float)) and w >= 0):
-        raise ValueError("reverse evolution takes a nonnegative scalar weight")
-    return evolve(Z0, ProposedStepper(K, -float(w)), num_steps, record_states)
-
-
 def _assumes_symmetric_doubly(traj: TrajectoryRecord) -> bool:
     if traj.stepper not in ("proposed", "markov"):
         return False
@@ -371,9 +371,13 @@ def variance_dissipation(K: KernelMatrix, Z: FeatureField) -> float:
         raise ValueError("the energy identity needs a symmetric doubly stochastic kernel")
     v = Z.values - Z.values.mean(axis=0)
     K2 = K.entries @ K.entries
+    return float(np.sum(K2 * _pair_distances(v)) / (2.0 * Z.num_positions))
+
+
+def _pair_distances(v: np.ndarray) -> np.ndarray:
+    """||v_i - v_j||^2 for every pair of rows, from the Gram identity."""
     sq = np.sum(v * v, axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
-    return float(np.sum(K2 * pair) / (2.0 * Z.num_positions))
+    return sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A field is an (M, d) array of float64: M positions, each carrying a
 d-channel feature vector.  Fields are immutable; every operator returns a
-new one.  CSV is the interchange format for experiment artifacts.
+new one.  Matrices travel as plain CSV (:func:`save_matrix_csv`,
+:func:`load_matrix_csv`).
 """
 
 from __future__ import annotations
@@ -45,38 +46,6 @@ class FeatureField:
     @property
     def num_channels(self) -> int:
         return self.values.shape[1]
-
-    def position(self, i: int) -> np.ndarray:
-        """Feature vector at position i (read-only view)."""
-        return self.values[i]
-
-    def mean_vector(self) -> np.ndarray:
-        """Average feature vector over positions."""
-        return self.values.mean(axis=0)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{c}" for c in range(self.num_channels)])
-        for row in self.values:
-            writer.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "FeatureField":
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
-        if len(rows) < 2:
-            raise ValueError("field CSV needs a header row and at least one data row")
-        header = rows[0]
-        expected = [f"x{c}" for c in range(len(header))]
-        if header != expected:
-            raise ValueError(f"bad field CSV header {header!r}")
-        data = [[float(x) for x in row] for row in rows[1:]]
-        widths = {len(row) for row in data}
-        if widths != {len(header)}:
-            raise ValueError("ragged field CSV rows")
-        return cls(np.array(data, dtype=np.float64))
 
 
 def save_matrix_csv(A: np.ndarray) -> str:

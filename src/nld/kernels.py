@@ -286,7 +286,6 @@ def _flags_from_entries(entries: np.ndarray) -> dict:
         "nonnegative": nonneg,
         "row_stochastic": row_st,
         "doubly_stochastic": doubly,
-        "row_sums": row_sums,
     }
 
 
@@ -300,7 +299,6 @@ class KernelMatrix:
     """
 
     entries: np.ndarray = dc_field(repr=False)
-    row_sums: np.ndarray = dc_field(repr=False)
     symmetric: bool
     nonnegative: bool
     row_stochastic: bool
@@ -320,15 +318,7 @@ class KernelMatrix:
         if not np.all(np.isfinite(A)):
             bad = np.argwhere(~np.isfinite(A))[0]
             raise NonFiniteError(f"non-finite kernel entry at ({bad[0]}, {bad[1]})")
-        flags = _flags_from_entries(A)
-        return cls(
-            entries=_frozen_array(A),
-            row_sums=_frozen_array(flags["row_sums"]),
-            symmetric=flags["symmetric"],
-            nonnegative=flags["nonnegative"],
-            row_stochastic=flags["row_stochastic"],
-            doubly_stochastic=flags["doubly_stochastic"],
-        )
+        return cls(entries=_frozen_array(A), **_flags_from_entries(A))
 
     def spectrum(self):
         """(eigenvalues, eigenvectors) of the entries, as :func:`eig_symmetric`
@@ -432,12 +422,6 @@ def sinkhorn_normalize(
     S = (d[:, None] * A) * d[None, :]
     S = 0.5 * (S + S.T)
     return KernelMatrix.from_entries(S)
-
-
-def frobenius_norm(K) -> float:
-    """Frobenius norm of a KernelMatrix or a plain 2-d array."""
-    entries = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=np.float64)
-    return float(np.linalg.norm(entries))
 
 
 def symmetric_stochastic_kernel(

@@ -56,9 +56,6 @@ class SplitMix64:
         """Uniform double in [0, 1), 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform_in(self, low: float, high: float) -> float:
-        return low + (high - low) * self.uniform()
-
     def normal(self) -> float:
         """Single standard normal draw (Box-Muller; consumes two outputs)."""
         u1 = self.uniform()
@@ -90,7 +87,3 @@ class SplitMix64:
         for k in range(out.size):
             out[k] = low + (high - low) * self.uniform()
         return out.reshape(shape)
-
-    def spawn(self) -> "SplitMix64":
-        """Child generator whose stream is independent of further parent use."""
-        return SplitMix64(self.next_u64())

@@ -39,15 +39,6 @@ def symmetrize(W: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def composite_weight(W_Z: np.ndarray, W_g: np.ndarray) -> np.ndarray:
-    """Product W_Z @ W_g of a factored weight; rank bounded by the inner dim."""
-    A = np.asarray(W_Z, dtype=np.float64)
-    B = np.asarray(W_g, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0] or A.shape[0] != B.shape[1]:
-        raise ValueError(f"factor shapes {A.shape} and {B.shape} do not compose to square")
-    return A @ B
-
-
 def _round_robin_shift(m: int) -> np.ndarray:
     """Slot permutation that takes one round-robin round to the next.
 

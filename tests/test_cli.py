@@ -290,6 +290,30 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     assert "config rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("verify-theory", '{"weight": NaN}', "weight is nan"),
+        ("verify-theory", '{"bandwidth": Infinity}', "bandwidth is inf"),
+        ("evolve", '{"weight": NaN}', "weight is nan"),
+        ("evolve", '{"kernel": {"variant": "rbf", "bandwidth": 1e999}}', "kernel.bandwidth is inf"),
+        (
+            "evolve",
+            '{"num_positions": 2, "initial": {"kind": "explicit", "values": [[1.0], [-Infinity]]}}',
+            "initial.values[1][0] is -inf",
+        ),
+    ],
+    ids=["theory_nan", "theory_infinity", "evolve_nan", "evolve_overflow", "evolve_nested"],
+)
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config rejected: {message}, not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import nld
 from nld import (
@@ -14,12 +15,14 @@ from nld import (
     OriginalStepper,
     ProposedStepper,
     StageWeights,
+    apply_diffusion,
+    build_kernel_matrix,
     cfl_verdict,
     eig_symmetric,
     estimate_decay_rate,
     evolve,
+    normalize_rows,
     poincare_constant,
-    reverse_evolve,
     steady_state_check_original,
     step_original,
     step_proposed,
@@ -95,6 +98,54 @@ def test_step_original_single_position_halves():
     assert np.array_equal(out.values, np.array([[1.0]]))
 
 
+def test_step_proposed_bitwise_arithmetic():
+    K = make_balanced_kernel(23, 6)
+    Z = make_field(24, 6, 3)
+    W = make_field(25, 3, 3).values
+    update = K.entries @ Z.values - Z.values
+    assert np.array_equal(step_proposed(Z, K, 0.7).values, Z.values + 0.7 * update)
+    assert np.array_equal(step_proposed(Z, K, W).values, Z.values + update @ W.T)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [AffinityKernelSpec.gaussian(), AffinityKernelSpec.rbf(), AffinityKernelSpec.dot_product()],
+    ids=["gaussian", "rbf_median", "dot_product"],
+)
+def test_step_original_bitwise_arithmetic(spec):
+    Z = FeatureField(np.abs(make_field(26, 7, 2).values))  # dot-product rows sum above 0
+    W = make_field(27, 2, 2).values
+    omega = build_kernel_matrix(Z, spec).entries
+    P = omega / np.sum(omega, axis=1)[:, None]
+    assert np.array_equal(normalize_rows(build_kernel_matrix(Z, spec)).entries, P)
+    assert np.array_equal(step_original(Z, spec, -0.5).values, Z.values + -0.5 * (P @ Z.values))
+    assert np.array_equal(step_original(Z, spec, W).values, Z.values + (P @ Z.values) @ W.T)
+
+
+@pytest.mark.parametrize(
+    "make_stepper",
+    [
+        lambda K: ProposedStepper(K, 0.5),
+        lambda K: OriginalStepper(AffinityKernelSpec.gaussian(), -0.5),
+        MarkovStepper,
+    ],
+    ids=["proposed", "original", "markov"],
+)
+def test_evolve_builds_one_field_per_step(monkeypatch, make_stepper):
+    stepper = make_stepper(make_balanced_kernel(28, 5))
+    Z0 = make_field(29, 5, 2)
+    built = []
+    post_init = FeatureField.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(FeatureField, "__post_init__", counting)
+    evolve(Z0, stepper, 7)
+    assert len(built) == 7
+
+
 def test_step_original_is_not_linear():
     spec = AffinityKernelSpec.rbf(bandwidth=1.0)
     Z1 = make_field(7, 5, 2)
@@ -109,7 +160,7 @@ def test_step_original_is_not_linear():
 
 
 def test_weights_broadcast_and_per_step():
-    w = StageWeights.scalar(0.5)
+    w = StageWeights.coerce(0.5)
     assert w.at(0, 10) == 0.5 and w.at(9, 10) == 0.5
     seq = StageWeights.coerce([0.1, 0.2, 0.3])
     assert seq.at(2, 3) == 0.3
@@ -125,11 +176,6 @@ def test_weights_per_step_sequence_is_honored():
     traj = evolve(Z0, ProposedStepper(K, [0.0, 1.0]), 2, record_states=True)
     assert np.array_equal(traj.states[1].values, Z0.values)
     assert np.allclose(traj.states[2].values, [[0.8], [-0.8]], rtol=0, atol=1e-15)
-
-
-def test_weights_matrix_list_flag():
-    assert StageWeights.coerce([np.eye(2), np.eye(2)]).all_matrices()
-    assert not StageWeights.coerce([np.eye(2), 0.5]).all_matrices()
 
 
 # evolve
@@ -220,32 +266,22 @@ def test_cfl_rejects_nonsymmetric():
         cfl_verdict(K, 0.5)
 
 
-# reverse evolution
-
-
-def test_reverse_zero_weight_is_identity(two_state_kernel, two_state_field):
-    traj = reverse_evolve(two_state_field, two_state_kernel, 0.0, 3, record_states=True)
-    for s in traj.states:
-        assert np.array_equal(s.values, two_state_field.values)
+# backward diffusion: the proposed step with a negative weight
 
 
 def test_reverse_two_state_growth(two_state_kernel, two_state_field):
-    traj = reverse_evolve(two_state_field, two_state_kernel, 1.0, 2, record_states=True)
+    traj = evolve(two_state_field, ProposedStepper(two_state_kernel, -1.0), 2, record_states=True)
     assert np.allclose(traj.states[1].values, [[1.2], [-1.2]], rtol=0, atol=1e-12)
     assert np.allclose(traj.states[2].values, [[1.44], [-1.44]], rtol=0, atol=1e-12)
     for g in traj.growth_factors():
         assert g == pytest.approx(1.2, abs=1e-12)
 
 
-def test_reverse_rejects_negative_weight(two_state_kernel, two_state_field):
-    with pytest.raises(ValueError):
-        reverse_evolve(two_state_field, two_state_kernel, -0.5, 2)
-
-
 def test_reverse_growth_bounded(two_state_kernel):
+    # Growth per step is at most 1 + 2w for symmetric doubly stochastic K.
     w = 0.8
     Z0 = make_field(12, 2, 1)
-    traj = reverse_evolve(Z0, two_state_kernel, w, 20)
+    traj = evolve(Z0, ProposedStepper(two_state_kernel, -w), 20)
     for g in traj.growth_factors():
         assert g <= 1.0 + 2.0 * w + 1e-12
 
@@ -254,13 +290,13 @@ def test_forward_then_reverse_composition_error():
     K = make_balanced_kernel(13, 6)
     Z0 = make_field(14, 6, 2)
     w = 0.3
-    fwd = evolve(Z0, ProposedStepper(K, w), 1, record_states=True)
-    rt = reverse_evolve(fwd.states[-1], K, w, 1, record_states=True)
+    fwd = step_proposed(Z0, K, w)
+    back = step_proposed(fwd, K, -w).values
     L = K.entries - np.eye(6)
     predicted = -(w * w) * (L @ (L @ Z0.values))
-    assert np.max(np.abs((rt.states[-1].values - Z0.values) - predicted)) <= 1e-12
+    assert np.max(np.abs((back - Z0.values) - predicted)) <= 1e-12
     # and the round trip genuinely misses Z0
-    assert np.max(np.abs(rt.states[-1].values - Z0.values)) > 1e-6
+    assert np.max(np.abs(back - Z0.values)) > 1e-6
 
 
 # theorem checks
@@ -321,6 +357,31 @@ def test_energy_identity_single_markov_step():
         traj = evolve(Z0, MarkovStepper(K), 1)
         drop = traj.per_step_stats[0].variance - traj.per_step_stats[1].variance
         assert drop == pytest.approx(variance_dissipation(K, Z0), abs=1e-10)
+
+
+@st.composite
+def balanced_kernel_and_field(draw):
+    M = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**31))
+    bandwidth = draw(st.sampled_from([None, 0.5, 1.0, 3.0]))
+    rng = nld.SplitMix64(nld.derive_seed(seed, "identities"))
+    K = nld.symmetric_stochastic_kernel(FeatureField(rng.normals((M, 2))), bandwidth=bandwidth)
+    Z = FeatureField(draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.normals((M, d)))
+    return K, Z
+
+
+@given(balanced_kernel_and_field())
+def test_diffusion_identities_on_drawn_kernels(case):
+    # verify-theory's constant_annihilation, mean_zero and energy_identity
+    # checks, with their tolerances, on drawn balanced kernels.
+    K, Z = case
+    const = FeatureField(np.full(Z.values.shape, 0.7))
+    assert np.max(np.abs(apply_diffusion(K, const).values)) <= 1e-12
+    assert np.max(np.abs(apply_diffusion(K, Z).values.sum(axis=0))) <= 1e-10
+    traj = evolve(Z, MarkovStepper(K), 1)
+    drop = traj.per_step_stats[0].variance - traj.per_step_stats[1].variance
+    assert abs(drop - variance_dissipation(K, Z)) <= 1e-10
 
 
 def test_variance_dissipation_requires_balanced_kernel():

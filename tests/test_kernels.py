@@ -16,7 +16,6 @@ from nld import (
     NonFiniteError,
     build_kernel_matrix,
     eval_affinity,
-    frobenius_norm,
     median_bandwidth,
     normalize_rows,
     sinkhorn_normalize,
@@ -394,19 +393,3 @@ def test_sinkhorn_degenerate_zero_row():
 def test_symmetric_stochastic_kernel_is_flagged():
     K = symmetric_stochastic_kernel(make_field(41, 9, 2))
     assert K.symmetric and K.nonnegative and K.row_stochastic and K.doubly_stochastic
-
-
-# ---------------------------------------------------------------------------
-# frobenius_norm
-# ---------------------------------------------------------------------------
-
-
-def test_frobenius_values():
-    assert frobenius_norm(KernelMatrix.from_entries(np.eye(3))) == pytest.approx(math.sqrt(3))
-    assert frobenius_norm(np.zeros((2, 2))) == 0.0
-    assert frobenius_norm(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(
-        math.sqrt(30.0), rel=1e-12
-    )
-    assert frobenius_norm(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(
-        5.4772255751, rel=1e-9
-    )

@@ -436,7 +436,7 @@ def test_extract_stage_spectra_zero_weights():
 
 def test_extract_stage_spectra_rejects_scalars():
     history = TrainingHistory(
-        per_epoch=(), diverged=False, final_stage_weights=(StageWeights.scalar(0.5),)
+        per_epoch=(), diverged=False, final_stage_weights=(StageWeights((0.5,)),)
     )
     with pytest.raises(ValueError):
         extract_stage_spectra(history)

@@ -1,3 +1,10 @@
+"""The three operators of nld.dynamics.
+
+The diffusion operator K Z - Z (apply_diffusion), the original block's
+operator rownorm(omega(Z)) Z (the update step_original adds to Z) and the
+Markov map Z -> K Z (MarkovStepper).
+"""
+
 import math
 
 import numpy as np
@@ -9,10 +16,9 @@ from nld import (
     DegenerateRowError,
     FeatureField,
     KernelMatrix,
+    MarkovStepper,
     apply_diffusion,
-    apply_original,
-    diffusion_matrix,
-    markov_matrix,
+    step_original,
 )
 
 from conftest import make_balanced_kernel, make_field
@@ -53,19 +59,18 @@ def test_diffusion_dimension_mismatch():
 
 
 def test_diffusion_matrix_examples():
+    # Applied to the identity field, the operator gives its matrix K - I.
     I = KernelMatrix.from_entries(np.eye(3))
-    assert np.array_equal(diffusion_matrix(I).entries, np.zeros((3, 3)))
+    assert np.array_equal(apply_diffusion(I, FeatureField(np.eye(3))).values, np.zeros((3, 3)))
     U = KernelMatrix.from_entries(np.full((2, 2), 0.5))
-    assert np.array_equal(
-        diffusion_matrix(U).entries, np.array([[-0.5, 0.5], [0.5, -0.5]])
-    )
-    assert np.max(np.abs(diffusion_matrix(U).entries.sum(axis=1))) <= 1e-12
+    L = apply_diffusion(U, FeatureField(np.eye(2))).values
+    assert np.array_equal(L, np.array([[-0.5, 0.5], [0.5, -0.5]]))
+    assert np.max(np.abs(L.sum(axis=1))) <= 1e-12
 
 
 def test_diffusion_matrix_spectrum_in_band():
     K = make_balanced_kernel(5, 8)
-    L = diffusion_matrix(K)
-    vals, _ = nld.eig_symmetric(L.entries)
+    vals, _ = nld.eig_symmetric(K.entries - np.eye(K.size))
     assert np.all(vals <= 1e-12)
     assert np.all(vals >= -2.0 - 1e-12)
 
@@ -98,62 +103,70 @@ def test_markov_stage_equivalence_identity():
         assert np.max(np.abs(direct - apply_diffusion(K, Z).values)) <= 1e-14
 
 
+# The original operator is the update step_original adds to Z at unit
+# weight: Z + 1 * rownorm(omega(Z)) Z.
+
+
 def test_apply_original_single_position():
+    # One position: rownorm(omega) = [[1]], so the operator returns Z itself.
     Z = FeatureField(np.array([[2.0, -3.0]]))
-    out = apply_original(AffinityKernelSpec.gaussian(), Z)
-    assert np.array_equal(out.values, -Z.values)
+    out = step_original(Z, AffinityKernelSpec.gaussian(), 1.0)
+    assert np.array_equal(out.values, 2.0 * Z.values)
 
 
 def test_apply_original_dirac():
     Z = make_field(7, 5, 2)
-    out = apply_original(AffinityKernelSpec.dirac_delta(), Z)
-    assert np.max(np.abs(out.values + Z.values)) <= 1e-15
+    out = step_original(Z, AffinityKernelSpec.dirac_delta(), 1.0)
+    assert np.max(np.abs(out.values - 2.0 * Z.values)) <= 1e-15
 
 
 def test_apply_original_rbf_two_positions_brute_force():
     Z = FeatureField(np.array([[0.0], [2.0]]))
     spec = AffinityKernelSpec.rbf(bandwidth=1.0)
-    out = apply_original(spec, Z)
+    out = step_original(Z, spec, 1.0)
     a = math.exp(-2.0)
-    # row-normalized kernel [[1, a], [a, 1]] / (1 + a), negated average
-    expected = -np.array([[2.0 * a], [2.0]]) / (1.0 + a)
-    assert np.max(np.abs(out.values - expected)) <= 1e-15
+    # row-normalized kernel [[1, a], [a, 1]] / (1 + a) applied to Z
+    average = np.array([[2.0 * a], [2.0]]) / (1.0 + a)
+    assert np.max(np.abs(out.values - (Z.values + average))) <= 1e-15
 
 
 def test_apply_original_rejects_nonpositive_row_sums():
+    # dot-product affinities of (1, -1) are [[1, -1], [-1, 1]]: both rows sum to 0.
     Z = FeatureField(np.array([[1.0], [-1.0]]))
-    with pytest.raises(DegenerateRowError):
-        apply_original(AffinityKernelSpec.dot_product(), Z)
+    with pytest.raises(DegenerateRowError) as err:
+        step_original(Z, AffinityKernelSpec.dot_product(), -0.5)
+    assert err.value.row == 0
 
 
 def test_apply_original_decreases_sup_norm_one_sign():
     Z = FeatureField(np.array([[0.5], [1.0], [2.0]]))
     spec = AffinityKernelSpec.rbf(bandwidth=1.0)
     # Eq-style update with full negative unit weight: Z' = Z - avg(Z)
-    out = Z.values + (-1.0) * (-apply_original(spec, Z).values)
+    out = step_original(Z, spec, -1.0).values
     assert np.max(np.abs(out)) < np.max(np.abs(Z.values))
 
 
 def test_markov_matrix_accepts_and_applies():
     K = KernelMatrix.from_entries(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    P = markov_matrix(K)
-    Z = np.array([[1.0], [-1.0]])
-    assert np.allclose(P.entries @ Z, [[0.8], [-0.8]], rtol=0, atol=1e-15)
+    Z = FeatureField(np.array([[1.0], [-1.0]]))
+    out = MarkovStepper(K).advance(Z, 0, 1)
+    assert np.allclose(out.values, [[0.8], [-0.8]], rtol=0, atol=1e-15)
 
 
 def test_markov_matrix_identity():
     I = KernelMatrix.from_entries(np.eye(3))
-    assert np.array_equal(markov_matrix(I).entries, np.eye(3))
+    Z = make_field(8, 3, 2)
+    assert np.array_equal(MarkovStepper(I).advance(Z, 0, 1).values, Z.values)
 
 
 def test_markov_matrix_rejects_negative_entries():
     Z = FeatureField(np.array([[1.0, 0.5], [-1.0, 0.5]]))
     K = nld.build_kernel_matrix(Z, AffinityKernelSpec.dot_product())
-    with pytest.raises(ValueError):
-        markov_matrix(K)
+    with pytest.raises(ValueError, match="nonnegative"):
+        MarkovStepper(K)
 
 
 def test_markov_matrix_requires_row_stochastic():
     K = KernelMatrix.from_entries(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    with pytest.raises(ValueError):
-        markov_matrix(K)
+    with pytest.raises(ValueError, match="row stochastic"):
+        MarkovStepper(K)

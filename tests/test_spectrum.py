@@ -10,7 +10,6 @@ from nld import (
     SpectrumReport,
     SplitMix64,
     classify_spectrum,
-    composite_weight,
     derive_seed,
     eig_symmetric,
     spectrum_report,
@@ -59,40 +58,6 @@ def test_symmetrize_rejects_nonsquare_and_nonfinite():
         symmetrize(np.zeros((2, 3)))
     with pytest.raises(NonFiniteError):
         symmetrize(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
-# composite_weight
-
-
-def test_composite_zero_factor():
-    W_Z = SplitMix64(3).normals((4, 2))
-    assert np.array_equal(composite_weight(W_Z, np.zeros((2, 4))), np.zeros((4, 4)))
-
-
-def test_composite_identity_block():
-    W_Z = np.vstack([np.eye(2), np.zeros((2, 2))])
-    W_g = np.hstack([np.eye(2), np.zeros((2, 2))])
-    W = composite_weight(W_Z, W_g)
-    assert np.array_equal(W, np.diag([1.0, 1.0, 0.0, 0.0]))
-    report = spectrum_report(W, top_k=4)
-    assert sum(1 for v in report.eigenvalues if abs(v) <= 1e-10) >= 2
-
-
-def test_composite_rank_bound_random_factors():
-    rng = SplitMix64(derive_seed(9, "factors"))
-    W_Z = rng.normals((4, 2))
-    W_g = rng.normals((2, 4))
-    W = composite_weight(W_Z, W_g)
-    sv = np.linalg.svd(W, compute_uv=False)
-    assert sv[2] <= 1e-10 * sv[0]
-    assert sv[3] <= 1e-10 * sv[0]
-
-
-def test_composite_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        composite_weight(np.zeros((4, 2)), np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        composite_weight(np.zeros((4, 2)), np.zeros((2, 5)))
 
 
 # eig_symmetric
