@@ -1,0 +1,137 @@
+"""Check that two checkouts of nld write byte-identical artifacts.
+
+Usage:
+    python scripts/artifact_identity.py PARENT_DIR CHANGE_DIR \
+        --workload train --workload evolve --seed 11 --seed 12 --passes 4 \
+        [--extra compare path/to/config.json]
+
+The inputs are the benchmark's own: ``benchmarks/workloads.write_plan``
+(from this script's checkout) writes every op of passes 0..P-1 of each
+(workload, seed), and each ``--extra COMMAND CONFIG`` adds one more op.
+The same op list then runs through ``nld.cli.main`` once per checkout, in
+a fresh process that imports ``nld`` from that checkout's ``src``.  Every
+artifact is compared byte for byte; ``report.json`` is compared after its
+``wall_time_seconds`` and its config's ``out_dir`` and ``input_path`` are
+dropped.  The script prints how many artifacts it compared and each path
+that differs or exists on one side only, and exits 1 on any difference.
+It only imports from ``benchmarks/``; it writes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs in a fresh interpreter: argv is (checkout src dir, ops file).  It
+# prints the exit code of each op as a JSON list.
+_RUNNER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import nld
+if not nld.__file__.startswith(sys.argv[1]):
+    sys.exit(f"imported nld from {nld.__file__}, not from {sys.argv[1]}")
+from nld.cli import main
+codes = []
+for argv in json.loads(open(sys.argv[2]).read()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def plan_ops(workloads: list, seeds: list, passes: int, extras: list, work: Path) -> list:
+    """(argv without --out, out subdir) for every op, inputs written under ``work``."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    import workloads as bench_workloads
+
+    ops = []
+    for workload in workloads:
+        for seed in seeds:
+            plan = bench_workloads.write_plan(workload, seed, work / f"{workload}-{seed}")
+            for ops_of_pass in plan[:passes]:
+                for op in ops_of_pass:
+                    ops.append((op["argv"], f"{workload}-{seed}/{op['out']}"))
+    for k, (command, config) in enumerate(extras):
+        ops.append(([command, "--config", str(Path(config).resolve())], f"extra{k}-{command}"))
+    return ops
+
+
+def run_ops(checkout: Path, ops: list, out_root: Path, ops_file: Path) -> list:
+    argvs = [argv + ["--out", str(out_root / out)] for argv, out in ops]
+    ops_file.write_text(json.dumps(argvs))
+    src = str((checkout / "src").resolve())
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNNER, src, str(ops_file)],
+        check=True, stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _normalized(path: Path) -> bytes:
+    blob = path.read_bytes()
+    if path.name != "report.json":
+        return blob
+    doc = json.loads(blob)
+    doc.pop("wall_time_seconds", None)
+    for key in ("out_dir", "input_path"):
+        doc.get("config", {}).pop(key, None)
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def _files(root: Path) -> set:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def compare_trees(a: Path, b: Path):
+    """(number compared, paths that differ or exist on one side only)."""
+    names_a, names_b = _files(a), _files(b)
+    differ = sorted(names_a ^ names_b)
+    common = sorted(names_a & names_b)
+    differ += [n for n in common if _normalized(a / n) != _normalized(b / n)]
+    return len(common), sorted(differ)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", default=[],
+                        choices=("theory", "evolve", "train"))
+    parser.add_argument("--seed", action="append", type=int, default=[])
+    parser.add_argument("--passes", type=int, default=4, help="passes 0..P-1 of each plan")
+    parser.add_argument("--extra", nargs=2, action="append", default=[],
+                        metavar=("COMMAND", "CONFIG"), help="one more op, e.g. compare cfg.json")
+    args = parser.parse_args(argv)
+    if args.workload and not args.seed:
+        parser.error("--workload needs at least one --seed")
+    if not args.workload and not args.extra:
+        parser.error("nothing to run: give --workload or --extra")
+
+    with tempfile.TemporaryDirectory(prefix="artifact-identity-") as tmp:
+        work = Path(tmp)
+        ops = plan_ops(args.workload, args.seed, args.passes, args.extra, work / "inputs")
+        codes = {}
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            codes[side] = run_ops(checkout, ops, work / side, work / f"{side}-ops.json")
+        compared, differ = compare_trees(work / "parent", work / "change")
+
+    print(f"{len(ops)} ops, {compared} artifacts compared, {len(differ)} differ")
+    for name in differ:
+        print(f"DIFFERS: {name}")
+    exit_differ = [out for (_, out), a, b in zip(ops, codes["parent"], codes["change"]) if a != b]
+    for out in exit_differ:
+        print(f"EXIT CODE DIFFERS: {out}")
+    failed = sum(1 for c in codes["change"] if c != 0)
+    if failed:
+        print(f"note: {failed} ops exited nonzero on the change side")
+    return 1 if differ or exit_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

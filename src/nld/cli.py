@@ -714,11 +714,17 @@ def _hyper_from(doc: dict) -> net.Hyper:
     return net.Hyper(**{**doc, "lr_drop_fracs": tuple(doc["lr_drop_fracs"])})
 
 
-def _spectra_checks(report: RunReport, history, config_formulation: str, prefix=""):
-    """Soft sign-majority expectations, per the qualitative findings."""
+def _stage_spectra(history) -> list:
+    """The trained stage-weight spectra; none for a diverged or stageless run."""
     if history.diverged or not history.final_stage_weights:
+        return []
+    return net.extract_stage_spectra(history)
+
+
+def _spectra_checks(report: RunReport, reports: list, config_formulation: str, prefix=""):
+    """Soft sign-majority expectations, per the qualitative findings."""
+    if not reports:
         return
-    reports = net.extract_stage_spectra(history)
     pos = sum(r.num_positive for r in reports)
     neg = sum(r.num_negative for r in reports)
     if config_formulation == "proposed":
@@ -756,8 +762,9 @@ def cmd_train(config: dict) -> RunReport:
         report.checks.append(
             CheckResult("final_train_acc", "pass", measured=last.train_acc)
         )
-    if net_config.stages:
-        _spectra_checks(report, history, net_config.stages[0].formulation)
+    spectra = _stage_spectra(history)
+    if spectra:
+        _spectra_checks(report, spectra, net_config.stages[0].formulation)
 
     report.artifacts.append(_write_text(out_dir, "history.csv", history.to_csv()))
     blob, sidecar = net.checkpoint_bytes(history.final_params)
@@ -765,15 +772,14 @@ def cmd_train(config: dict) -> RunReport:
     report.artifacts.append(
         _write_text(out_dir, "checkpoint.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     )
-    if net_config.stages and not history.diverged:
-        for idx, rep in enumerate(net.extract_stage_spectra(history)):
-            report.artifacts.append(
-                _write_text(
-                    out_dir,
-                    f"spectrum_sub{idx}.json",
-                    json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                )
+    for idx, rep in enumerate(spectra):
+        report.artifacts.append(
+            _write_text(
+                out_dir,
+                f"spectrum_sub{idx}.json",
+                json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
             )
+        )
     return _finish(report, out_dir, started)
 
 
@@ -806,7 +812,7 @@ def cmd_compare(config: dict) -> RunReport:
         )
         _spectra_checks(
             report,
-            history,
+            _stage_spectra(history),
             variant["formulation"],
             prefix=f"{variant['formulation']}_N{variant['sub_blocks']}_",
         )

@@ -61,7 +61,10 @@ class StageWeights:
         norm = []
         for w in self.per_step:
             if isinstance(w, (int, float)):
-                norm.append(float(w))
+                w = float(w)
+                if not np.isfinite(w):
+                    raise ValueError("scalar weight must be finite")
+                norm.append(w)
             else:
                 W = np.asarray(w, dtype=np.float64)
                 if W.ndim != 2 or W.shape[0] != W.shape[1]:

@@ -35,7 +35,7 @@ from .kernels import (
     _rownorm_bwd,
     _rownorm_fwd,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _box_muller, _fisher_yates, derive_seed
 from .spectrum import SpectrumReport, spectrum_report
 
 PROPOSED = "proposed"
@@ -47,6 +47,10 @@ ORIGINAL = "original"
 PROPOSED_INIT_SCALE = 0.1
 
 ORIGINAL_INIT_RANGE = 0.01
+
+# generate_task draws its samples in blocks of about this many outputs, so
+# its scratch memory stays small whatever the task size.
+_TASK_BLOCK_DRAWS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +178,10 @@ def _block_bwd(W1, W2, gain, cache, G):
     gW2 = np.einsum("bmd,bmh->dh", G, A2)
     dA2 = G @ W2
     dP1 = dA2 * (P1 > 0) * gain
-    gW1 = np.einsum("bmh,bmd->hd", dP1, A1)
+    # Summing "bmh,bmd->hd" with h outermost makes einsum's inner loop only
+    # d long.  Both forms add the (b, m) products in the same order, so the
+    # swapped form is bit-identical; the copy keeps W1's (H, d) C layout.
+    gW1 = np.ascontiguousarray(np.einsum("bmd,bmh->dh", A1, dP1).T)
     dA1 = dP1 @ W1
     dZ = G + dA1 * (Z > 0) * gain
     return dZ, gW1, gW2
@@ -393,23 +400,29 @@ def generate_task(M: int, d: int, num_classes: int, num_samples: int, seed: int)
     rng = SplitMix64(derive_seed(seed, "task"))
     labels = [s % num_classes for s in range(num_samples)]
     rng.shuffle(labels)
-    levels = _agreement_levels(num_classes, d)
-    cells = [(i, c) for i in range(d) for c in range(d)]
+    # Sample s draws M*d normals (two outputs each), then shuffles its d*d
+    # (row, channel) cells; the first k cells of that order agree in sign.
+    # Samples are drawn in stream order, a chunk of them per block.
+    cells = d * d
+    normal_draws = 2 * M * d
+    per_sample = normal_draws + cells - 1
+    chunk = max(1, _TASK_BLOCK_DRAWS // per_sample)
+    ranks = np.empty((num_samples, cells), dtype=np.int64)
     values = np.empty((num_samples, M, d), dtype=np.float64)
-    for s in range(num_samples):
-        base = rng.normals((M, d))
-        k = levels[labels[s]]
-        order = list(cells)
-        rng.shuffle(order)
-        agree = set(order[:k])
-        for (i, c) in cells:
-            sign_a = 1.0 if base[i, c] >= 0.0 else -1.0
-            target = sign_a if (i, c) in agree else -sign_a
-            mag = abs(base[M - d + i, c])
-            if mag == 0.0:
-                mag = 1.0
-            base[M - d + i, c] = target * mag
-        values[s] = base
+    for lo in range(0, num_samples, chunk):
+        n = min(chunk, num_samples - lo)
+        block = rng.u64s(n * per_sample).reshape(n, per_sample)
+        values[lo : lo + n] = _box_muller(block[:, :normal_draws].ravel()).reshape(n, M, d)
+        for s, draws in enumerate(block[:, normal_draws:].tolist(), start=lo):
+            order = list(range(cells))
+            _fisher_yates(order, draws)
+            ranks[s, order] = np.arange(cells)
+    k = np.array(_agreement_levels(num_classes, d))[np.array(labels, dtype=np.int64)]
+    agree = (ranks < k[:, None]).reshape(num_samples, d, d)
+    sign_a = np.where(values[:, :d, :] >= 0.0, 1.0, -1.0)
+    mag = np.abs(values[:, M - d :, :])
+    mag[mag == 0.0] = 1.0
+    values[:, M - d :, :] = np.where(agree, sign_a, -sign_a) * mag
     values.setflags(write=False)
     return SyntheticTask(
         num_positions=M,

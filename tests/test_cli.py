@@ -746,6 +746,26 @@ def test_train_writes_artifacts_and_checks(tmp_path):
     assert len(lines) == 1 + TINY_HYPER["epochs"]
 
 
+def test_train_extracts_stage_spectra_once(tmp_path, monkeypatch):
+    calls = []
+    extract = net.extract_stage_spectra
+
+    def counted(history, *args, **kwargs):
+        calls.append(history)
+        return extract(history, *args, **kwargs)
+
+    monkeypatch.setattr(net, "extract_stage_spectra", counted)
+    code, out = run_cli(
+        tmp_path, "train", {"task": TINY_TASK, "net": TINY_NET, "hyper": TINY_HYPER}
+    )
+    assert code == 0
+    report = read_report(out)
+    assert check_by_name(report, "converged")["status"] == "pass"
+    assert check_by_name(report, "spectra_majority_positive")["status"] == "soft"
+    assert {"spectrum_sub0.json", "spectrum_sub1.json"} <= set(report["artifacts"])
+    assert len(calls) == 1
+
+
 def test_train_zero_lr_history_is_flat(tmp_path):
     code, out = run_cli(
         tmp_path,

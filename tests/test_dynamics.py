@@ -170,6 +170,14 @@ def test_weights_broadcast_and_per_step():
         StageWeights(())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weights_reject_non_finite_scalar(two_state_kernel, two_state_field, bad):
+    with pytest.raises(ValueError, match="scalar weight must be finite"):
+        StageWeights.coerce([0.5, bad])
+    with pytest.raises(ValueError, match="scalar weight must be finite"):
+        evolve(two_state_field, ProposedStepper(two_state_kernel, bad), 3)
+
+
 def test_weights_per_step_sequence_is_honored():
     K = KernelMatrix.from_entries(np.array([[0.9, 0.1], [0.1, 0.9]]))
     Z0 = FeatureField(np.array([[1.0], [-1.0]]))

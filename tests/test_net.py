@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -30,7 +30,8 @@ from nld import (
     param_names,
     train,
 )
-from nld.net import softmax_cross_entropy
+from nld import net
+from nld.net import _block_bwd, _block_fwd, softmax_cross_entropy
 
 
 def small_config(stage=None, trunk_blocks=2, M=5, d=2, C=2, H=3):
@@ -311,6 +312,59 @@ def test_task_labels_match_oracle():
         assert label_from_field(task.values[s], 2, 3) == task.labels[s]
 
 
+def scalar_task(M, d, num_classes, num_samples, seed):
+    """generate_task as one scalar draw at a time, sample by sample."""
+    rng = SplitMix64(derive_seed(seed, "task"))
+    labels = [s % num_classes for s in range(num_samples)]
+    for i in range(num_samples - 1, 0, -1):
+        j = rng.randint(i + 1)
+        labels[i], labels[j] = labels[j], labels[i]
+    levels = [int(round(y * d * d / (num_classes - 1))) for y in range(num_classes)]
+    cells = [(i, c) for i in range(d) for c in range(d)]
+    values = np.empty((num_samples, M, d))
+    for s in range(num_samples):
+        base = np.array([[rng.normal() for _ in range(d)] for _ in range(M)])
+        order = list(cells)
+        for i in range(len(order) - 1, 0, -1):
+            j = rng.randint(i + 1)
+            order[i], order[j] = order[j], order[i]
+        agree = set(order[: levels[labels[s]]])
+        for (i, c) in cells:
+            sign_a = 1.0 if base[i, c] >= 0.0 else -1.0
+            target = sign_a if (i, c) in agree else -sign_a
+            mag = abs(base[M - d + i, c])
+            if mag == 0.0:
+                mag = 1.0
+            base[M - d + i, c] = target * mag
+        values[s] = base
+    return values, tuple(labels)
+
+
+@st.composite
+def task_sizes(draw):
+    d = draw(st.integers(1, 4))
+    M = draw(st.integers(2 * d, 2 * d + 6))
+    num_classes = draw(st.integers(2, d * d + 1))
+    return M, d, num_classes, draw(st.integers(1, 40))
+
+
+@given(
+    sizes=task_sizes(),
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    block_draws=st.sampled_from([1, 50, 1 << 16]),
+)
+@example(sizes=(2, 1, 2, 1), seed=0, block_draws=1 << 16)
+@example(sizes=(9, 4, 17, 33), seed=2**64 - 1, block_draws=50)
+def test_task_equals_scalar_reference(sizes, seed, block_draws):
+    with pytest.MonkeyPatch.context() as mp:
+        # Small blocks make one task span several draw blocks.
+        mp.setattr(net, "_TASK_BLOCK_DRAWS", block_draws)
+        task = generate_task(*sizes, seed)
+    values, labels = scalar_task(*sizes, seed)
+    assert task.labels == labels
+    assert task.values.tobytes() == values.tobytes()
+
+
 def test_task_rejects_bad_sizes():
     with pytest.raises(ValueError):
         generate_task(3, 2, 2, 8, 0)
@@ -489,3 +543,30 @@ def test_checkpoint_round_trip_on_drawn_params(params):
             checkpoint_from_bytes(blob[:-1], sidecar)
     with pytest.raises(ValueError, match="longer"):
         checkpoint_from_bytes(blob + b"\x00", sidecar)
+
+
+# The W1 gradient contraction against its defining einsum.
+
+
+@given(
+    B=st.integers(1, 64),
+    M=st.integers(1, 33),
+    d=st.integers(1, 40),
+    H=st.integers(1, 64),
+    seed=st.integers(0, 2**32),
+)
+@example(B=32, M=10, d=5, H=16, seed=0)
+@example(B=17, M=33, d=40, H=3, seed=1)
+def test_block_w1_gradient_is_bitwise_the_einsum(B, M, d, H, seed):
+    rng = SplitMix64(seed)
+    W1 = rng.normals((H, d))
+    W2 = rng.normals((d, H))
+    Z = rng.normals((B, M, d))
+    G = rng.normals((B, M, d))
+    _, cache = _block_fwd(W1, W2, 1.0, Z)
+    _, gW1, _ = _block_bwd(W1, W2, 1.0, cache, G)
+    _, A1, P1, _ = cache
+    dP1 = (G @ W2) * (P1 > 0) * 1.0
+    want = np.einsum("bmh,bmd->hd", dP1, A1)
+    assert np.array_equal(gW1, want)
+    assert gW1.shape == (H, d) and gW1.flags.c_contiguous

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nld import SplitMix64, derive_seed
 
@@ -83,3 +85,80 @@ def test_derive_seed_accepts_ints_and_strings():
     assert isinstance(derive_seed(3, "x", 9), int)
     with pytest.raises(TypeError):
         derive_seed(3, 1.5)
+
+
+# Block draws against the scalar stream.  The scalar ``next_u64``,
+# ``uniform``, ``normal`` and ``randint`` are the oracle.
+
+SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+LENGTHS = st.sampled_from([0, 1, 7]) | st.integers(0, 65)
+
+
+def scalar_shuffle(rng, seq):
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+def scalar_draw(rng, kind, n):
+    if kind == "u64s":
+        return np.array([rng.next_u64() for _ in range(n)], dtype=np.uint64)
+    if kind == "uniforms":
+        return np.array([-0.5 + (2.0 - -0.5) * rng.uniform() for _ in range(n)])
+    if kind == "normals":
+        return np.array([rng.normal() for _ in range(n)])
+    if kind == "shuffle":
+        items = list(range(n))
+        scalar_shuffle(rng, items)
+        return np.array(items)
+    return np.array([rng.next_u64()], dtype=np.uint64)
+
+
+def block_draw(rng, kind, n):
+    if kind == "u64s":
+        return rng.u64s(n)
+    if kind == "uniforms":
+        return rng.uniforms((n,), -0.5, 2.0)
+    if kind == "normals":
+        return rng.normals((n,))
+    if kind == "shuffle":
+        items = list(range(n))
+        rng.shuffle(items)
+        return np.array(items)
+    return np.array([rng.next_u64()], dtype=np.uint64)
+
+
+BLOCK_KINDS = ["u64s", "uniforms", "normals", "shuffle"]
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@given(seed=SEEDS, n=LENGTHS)
+@example(seed=0, n=0)
+@example(seed=2**64 - 1, n=1)
+@example(seed=2**64 - 1, n=33)
+def test_block_draws_equal_scalar_stream(kind, seed, n):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = block_draw(block, kind, n)
+    want = scalar_draw(scalar, kind, n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # The block leaves the state where the scalar draws did.
+    assert block.next_u64() == scalar.next_u64()
+
+
+@given(
+    seed=SEEDS,
+    ops=st.lists(st.tuples(st.sampled_from(BLOCK_KINDS + ["next_u64"]), LENGTHS), max_size=6),
+)
+def test_interleaved_block_and_scalar_draws_share_one_stream(seed, ops):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    for kind, n in ops:
+        assert block_draw(block, kind, n).tobytes() == scalar_draw(scalar, kind, n).tobytes()
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_block_draws_keep_their_shape():
+    rng = SplitMix64(5)
+    assert rng.u64s(4).dtype == np.uint64
+    assert rng.normals((3, 5)).shape == (3, 5)
+    assert rng.normals(6).shape == (6,)
+    assert rng.uniforms((2, 0)).shape == (2, 0)
