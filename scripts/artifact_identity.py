@@ -14,7 +14,10 @@ artifact is compared byte for byte; ``report.json`` is compared after its
 ``wall_time_seconds`` and its config's ``out_dir`` and ``input_path`` are
 dropped.  The script prints how many artifacts it compared and each path
 that differs or exists on one side only, and exits 1 on any difference.
-It only imports from ``benchmarks/``; it writes nothing there.
+A differing ``checkpoint.bin`` also gets its largest absolute parameter
+difference, and a differing history CSV the epochs trained and the final
+train loss on each side.  It only imports from ``benchmarks/``; it writes
+nothing there.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,6 +102,25 @@ def compare_trees(a: Path, b: Path):
     return len(common), sorted(differ)
 
 
+def _history_summary(path: Path) -> str:
+    rows = path.read_text().splitlines()[1:]
+    final_loss = rows[-1].split(",")[1] if rows else "none"
+    return f"{len(rows)} epochs, final train loss {final_loss}"
+
+
+def movement(a: Path, b: Path) -> str:
+    """How far a differing artifact moved, or "" when there is no measure for it."""
+    if a.name == "checkpoint.bin":
+        pa, pb = (np.frombuffer(p.read_bytes(), dtype="<f8") for p in (a, b))
+        if pa.shape != pb.shape:
+            return f"{pa.size} against {pb.size} parameters"
+        with np.errstate(invalid="ignore"):
+            return f"largest parameter difference {float(np.max(np.abs(pa - pb), initial=0.0))!r}"
+    if a.name.startswith("history") and a.suffix == ".csv":
+        return f"parent {_history_summary(a)}; change {_history_summary(b)}"
+    return ""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -120,10 +144,15 @@ def main(argv=None) -> int:
         for side, checkout in (("parent", args.parent), ("change", args.change)):
             codes[side] = run_ops(checkout, ops, work / side, work / f"{side}-ops.json")
         compared, differ = compare_trees(work / "parent", work / "change")
+        moved = {}
+        for name in differ:
+            a, b = work / "parent" / name, work / "change" / name
+            if a.is_file() and b.is_file():
+                moved[name] = movement(a, b)
 
     print(f"{len(ops)} ops, {compared} artifacts compared, {len(differ)} differ")
     for name in differ:
-        print(f"DIFFERS: {name}")
+        print(f"DIFFERS: {name}" + (f"  ({moved[name]})" if moved.get(name) else ""))
     exit_differ = [out for (_, out), a, b in zip(ops, codes["parent"], codes["change"]) if a != b]
     for out in exit_differ:
         print(f"EXIT CODE DIFFERS: {out}")

@@ -751,7 +751,7 @@ def cmd_train(config: dict) -> RunReport:
         CheckResult(
             "converged",
             "pass" if not history.diverged else "soft",
-            detail="diverged" if history.diverged else None,
+            detail=history.divergence,
         )
     )
     if history.per_epoch and not history.diverged:

@@ -14,6 +14,12 @@ Gradients flow through everything, including the kernel construction in
 both formulations; the test suite checks every parameter against central
 finite differences.  The classifier is an affine map of the mean-pooled
 features trained with softmax cross-entropy.
+
+Every contraction is one BLAS matmul: a per-position product runs on the
+(B*M, c) rows of its batch, a weight gradient is the transposed product of
+two such row matrices, and the kernel gradient is a batched matmul.  The
+trainer keeps all parameters in one flat float64 vector, and the ``params``
+dict it passes around holds views into it.
 """
 
 from __future__ import annotations
@@ -165,24 +171,36 @@ def init_params(config: NetworkConfig, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _rows(X):
+    """A (B, M, c) batch as its (B*M, c) rows: every position in one GEMM."""
+    return X.reshape(-1, X.shape[-1])
+
+
+def _per_position(X, W):
+    """X @ W at every position of a (B, M, c) batch, as one GEMM."""
+    return (_rows(X) @ W).reshape(*X.shape[:-1], W.shape[-1])
+
+
+def _weight_grad(G, X):
+    """sum over (b, m) of G[b, m]^T X[b, m]: the gradient of a per-position weight."""
+    return _rows(G).T @ _rows(X)
+
+
 def _block_fwd(W1, W2, gain, Z):
     A1 = np.maximum(gain * Z, 0.0)
-    P1 = A1 @ W1.T
+    P1 = _per_position(A1, W1.T)
     A2 = np.maximum(gain * P1, 0.0)
-    P2 = A2 @ W2.T
+    P2 = _per_position(A2, W2.T)
     return Z + P2, (Z, A1, P1, A2)
 
 
 def _block_bwd(W1, W2, gain, cache, G):
     Z, A1, P1, A2 = cache
-    gW2 = np.einsum("bmd,bmh->dh", G, A2)
-    dA2 = G @ W2
+    gW2 = _weight_grad(G, A2)
+    dA2 = _per_position(G, W2)
     dP1 = dA2 * (P1 > 0) * gain
-    # Summing "bmh,bmd->hd" with h outermost makes einsum's inner loop only
-    # d long.  Both forms add the (b, m) products in the same order, so the
-    # swapped form is bit-identical; the copy keeps W1's (H, d) C layout.
-    gW1 = np.ascontiguousarray(np.einsum("bmd,bmh->dh", A1, dP1).T)
-    dA1 = dP1 @ W1
+    gW1 = _weight_grad(dP1, A1)
+    dA1 = _per_position(dP1, W1)
     dZ = G + dA1 * (Z > 0) * gain
     return dZ, gW1, gW2
 
@@ -198,7 +216,7 @@ def _stage_fwd(stage: StageConfig, Ws, Z):
         Ds = []
         for W in Ws:
             D = P @ cur - cur
-            cur = cur + D @ W.T
+            cur = cur + _per_position(D, W.T)
             Zs.append(cur)
             Ds.append(D)
         return cur, ("proposed", omega, kaux, P, C, Zs, Ds)
@@ -211,7 +229,7 @@ def _stage_fwd(stage: StageConfig, Ws, Z):
         P, C = _rownorm_fwd(omega)
         Y = P @ cur
         subs.append((cur, omega, kaux, P, C, Y))
-        cur = cur + Y @ W.T
+        cur = cur + _per_position(Y, W.T)
     return cur, ("original", subs)
 
 
@@ -222,9 +240,9 @@ def _stage_bwd(stage: StageConfig, Ws, cache, G):
         dP_total = np.zeros_like(P)
         gWs = [None] * len(Ws)
         for n in range(len(Ws) - 1, -1, -1):
-            gWs[n] = np.einsum("bmc,bme->ce", G, Ds[n])
-            dD = G @ Ws[n]
-            dP_total += np.einsum("bie,bje->bij", dD, Zs[n])
+            gWs[n] = _weight_grad(G, Ds[n])
+            dD = _per_position(G, Ws[n])
+            dP_total += dD @ np.transpose(Zs[n], (0, 2, 1))
             G = G + np.transpose(P, (0, 2, 1)) @ dD - dD
         dOmega = _rownorm_bwd(dP_total, P, C)
         dX = G + _kernel_bwd(stage.kernel, X, omega, kaux, dOmega)
@@ -233,9 +251,9 @@ def _stage_bwd(stage: StageConfig, Ws, cache, G):
     gWs = [None] * len(Ws)
     for n in range(len(Ws) - 1, -1, -1):
         Zn, omega, kaux, P, C, Y = subs[n]
-        gWs[n] = np.einsum("bmc,bme->ce", G, Y)
-        dY = G @ Ws[n]
-        dP = np.einsum("bie,bje->bij", dY, Zn)
+        gWs[n] = _weight_grad(G, Y)
+        dY = _per_position(G, Ws[n])
+        dP = dY @ np.transpose(Zn, (0, 2, 1))
         dOmega = _rownorm_bwd(dP, P, C)
         G = G + np.transpose(P, (0, 2, 1)) @ dY + _kernel_bwd(stage.kernel, Zn, omega, kaux, dOmega)
     return G, gWs
@@ -278,7 +296,7 @@ def _backward_batch(config: NetworkConfig, params: dict, cache: dict, dlogits: n
     pooled = cache["pooled"]
     M = config.num_positions
     grads = {}
-    grads["head.A"] = np.einsum("bc,bd->cd", dlogits, pooled)
+    grads["head.A"] = dlogits.T @ pooled
     grads["head.b"] = np.sum(dlogits, axis=0)
     dpooled = dlogits @ params["head.A"]
     B = pooled.shape[0]
@@ -483,12 +501,18 @@ class EpochStats:
 
 @dataclass(frozen=True, eq=False)
 class TrainingHistory:
-    """Per-epoch metrics plus the trained stage weights for spectra."""
+    """Per-epoch metrics plus the trained stage weights for spectra.
+
+    ``divergence`` says where and why a diverged run stopped, for example
+    ``epoch 76, batch 3: non-finite activations after stage 0`` (epochs and
+    batches counted from 0, as in the CSV); it is None for a finished run.
+    """
 
     per_epoch: tuple
     diverged: bool
     final_stage_weights: tuple  # one StageWeights per configured stage
     final_params: dict = dc_field(repr=False, default_factory=dict)
+    divergence: Optional[str] = None
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
@@ -504,8 +528,24 @@ def _epoch_lr(hyper: Hyper, epoch: int) -> float:
     return hyper.lr * hyper.lr_drop_factor**drops
 
 
+def _flat_params(params: dict):
+    """One float64 vector holding every tensor, and a dict of views into it.
+
+    The views keep the dict's names, shapes and order, so the checkpoint
+    layout is unchanged and an update of the vector moves every tensor.
+    """
+    theta = np.concatenate([np.ravel(v) for v in params.values()])
+    views = {}
+    offset = 0
+    for name, value in params.items():
+        size = np.size(value)
+        views[name] = theta[offset : offset + size].reshape(np.shape(value))
+        offset += size
+    return theta, views
+
+
 def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 0) -> TrainingHistory:
-    """SGD with momentum and weight decay; divergence sets a flag, never raises.
+    """SGD with momentum and weight decay; divergence is recorded, never raised.
 
     The last ``val_fraction`` of the (already shuffled) task is held out;
     minibatch order reshuffles every epoch from a seed-derived stream, so
@@ -515,8 +555,8 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
         raise ValueError("training needs at least two samples")
     if (task.num_positions, task.num_channels) != (config.num_positions, config.num_channels):
         raise ValueError("task and config disagree on field shape")
-    params = init_params(config, seed)
-    vel = {k: np.zeros_like(v) for k, v in params.items()}
+    theta, params = _flat_params(init_params(config, seed))
+    vel = np.zeros_like(theta)
     n_val = int(round(hyper.val_fraction * task.num_samples))
     n_val = min(n_val, task.num_samples - 1)
     n_train = task.num_samples - n_val
@@ -527,7 +567,7 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
     shuffler = SplitMix64(derive_seed(seed, "batches"))
 
     history = []
-    diverged = False
+    divergence = None
     for epoch in range(hyper.epochs):
         lr = _epoch_lr(hyper, epoch)
         order = list(range(n_train))
@@ -535,7 +575,7 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
         seen = 0
         loss_sum = 0.0
         acc_sum = 0.0
-        for start in range(0, n_train, hyper.batch_size):
+        for batch, start in enumerate(range(0, n_train, hyper.batch_size)):
             rows = order[start : start + hyper.batch_size]
             Xb = Xtr[rows]
             yb = ytr[rows]
@@ -545,17 +585,16 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite loss")
                 grads = _backward_batch(config, params, cache, dlogits)
-            except (DivergenceError, DegenerateRowError):
-                diverged = True
+            except (DivergenceError, DegenerateRowError) as err:
+                divergence = f"epoch {epoch}, batch {batch}: {err}"
                 break
-            for k in params:
-                g = grads[k] + hyper.weight_decay * params[k]
-                vel[k] = hyper.momentum * vel[k] - lr * g
-                params[k] = params[k] + vel[k]
+            g = np.concatenate([np.ravel(grads[k]) for k in params]) + hyper.weight_decay * theta
+            vel = hyper.momentum * vel - lr * g
+            theta += vel
             loss_sum += loss * len(rows)
             acc_sum += acc * len(rows)
             seen += len(rows)
-        if diverged:
+        if divergence is not None:
             history.append(EpochStats(float("nan"), float("nan"), float("nan"), float("nan")))
             break
         try:
@@ -564,11 +603,11 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
                 val_loss, val_acc, _ = softmax_cross_entropy(vlogits, yva)
             else:
                 val_loss, val_acc = float("nan"), float("nan")
-        except (DivergenceError, DegenerateRowError):
-            diverged = True
+        except (DivergenceError, DegenerateRowError) as err:
+            divergence = f"epoch {epoch}, validation: {err}"
             val_loss, val_acc = float("nan"), float("nan")
         history.append(EpochStats(loss_sum / seen, acc_sum / seen, val_loss, val_acc))
-        if diverged:
+        if divergence is not None:
             break
 
     stage_weights = tuple(
@@ -577,9 +616,10 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
     )
     return TrainingHistory(
         per_epoch=tuple(history),
-        diverged=diverged,
+        diverged=divergence is not None,
         final_stage_weights=stage_weights,
         final_params={k: v.copy() for k, v in params.items()},
+        divergence=divergence,
     )
 
 

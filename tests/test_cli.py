@@ -9,8 +9,10 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -788,6 +790,42 @@ def test_train_reruns_are_byte_identical(tmp_path):
         rep.pop("wall_time_seconds")
         rep["config"].pop("out_dir")
     assert rep_a == rep_b
+
+
+def test_train_divergence_is_the_converged_detail(tmp_path):
+    code, out = run_cli(
+        tmp_path,
+        "train",
+        {"task": TINY_TASK, "net": TINY_NET, "hyper": {**TINY_HYPER, "lr": 1e12}},
+    )
+    assert code == 0
+    converged = check_by_name(read_report(out), "converged")
+    assert converged["status"] == "soft"
+    assert converged["detail"] == "epoch 0, batch 1: stage affinity overflowed"
+
+
+def test_train_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # Batches of 512 samples with 128 hidden channels give (B*M)-row GEMMs
+    # of 5120 x 5 x 128, which a 2-thread OpenBLAS splits between threads.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": {"num_samples": 700},
+        "net": {"hidden_channels": 128},
+        "hyper": {"epochs": 3, "batch_size": 512},
+    }))
+    src = str(Path(net.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nld.cli", "train", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("checkpoint.bin", "history.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

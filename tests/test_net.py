@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from nld import (
     AffinityKernelSpec,
+    DegenerateRowError,
     DivergenceError,
     FeatureField,
     Hyper,
@@ -31,6 +32,7 @@ from nld import (
     train,
 )
 from nld import net
+from nld.cli import _hyper_from, _net_config_from, _task_from, resolve_config
 from nld.net import _block_bwd, _block_fwd, softmax_cross_entropy
 
 
@@ -414,7 +416,7 @@ def test_train_zero_lr_is_flat():
     config = small_config(proposed_stage())
     hyper = Hyper(lr=0.0, epochs=4, batch_size=8)
     history = train(config, quick_task(), hyper, seed=0)
-    assert not history.diverged
+    assert not history.diverged and history.divergence is None
     losses = [s.train_loss for s in history.per_epoch]
     for loss in losses[1:]:
         assert loss == pytest.approx(losses[0], rel=1e-12)
@@ -437,6 +439,7 @@ def test_train_divergence_sets_flag():
     hyper = Hyper(lr=1e12, epochs=6, batch_size=8)
     history = train(config, quick_task(), hyper, seed=0)
     assert history.diverged
+    assert history.divergence == "epoch 0, batch 1: stage affinity overflowed"
     assert len(history.per_epoch) <= 6
     assert math.isnan(history.per_epoch[-1].train_loss)
 
@@ -466,6 +469,94 @@ def test_learning_moves_loss_down():
     history = train(config, task, Hyper(epochs=30, batch_size=16), seed=0)
     assert not history.diverged
     assert history.per_epoch[-1].train_loss < history.per_epoch[0].train_loss
+
+
+def per_tensor_train(config, task, hyper, seed):
+    """A reference trainer: the same SGD, updating one tensor at a time.
+
+    Returns the final parameters and the history CSV.
+    """
+    params = init_params(config, seed)
+    vel = {k: np.zeros_like(v) for k, v in params.items()}
+    n_val = min(int(round(hyper.val_fraction * task.num_samples)), task.num_samples - 1)
+    n_train = task.num_samples - n_val
+    Xtr, ytr = task.values[:n_train], np.array(task.labels[:n_train])
+    Xva, yva = task.values[n_train:], np.array(task.labels[n_train:])
+    shuffler = SplitMix64(derive_seed(seed, "batches"))
+    history = []
+    diverged = False
+    for epoch in range(hyper.epochs):
+        lr = net._epoch_lr(hyper, epoch)
+        order = list(range(n_train))
+        shuffler.shuffle(order)
+        seen, loss_sum, acc_sum = 0, 0.0, 0.0
+        for start in range(0, n_train, hyper.batch_size):
+            rows = order[start : start + hyper.batch_size]
+            try:
+                logits, cache = net._forward_batch(config, params, Xtr[rows])
+                loss, acc, dlogits = softmax_cross_entropy(logits, ytr[rows])
+                if not np.isfinite(loss):
+                    raise DivergenceError("non-finite loss")
+                grads = net._backward_batch(config, params, cache, dlogits)
+            except (DivergenceError, DegenerateRowError):
+                diverged = True
+                break
+            for k in params:
+                g = grads[k] + hyper.weight_decay * params[k]
+                vel[k] = hyper.momentum * vel[k] - lr * g
+                params[k] = params[k] + vel[k]
+            loss_sum += loss * len(rows)
+            acc_sum += acc * len(rows)
+            seen += len(rows)
+        if diverged:
+            history.append(net.EpochStats(*[float("nan")] * 4))
+            break
+        try:
+            vlogits, _ = net._forward_batch(config, params, Xva)
+            val_loss, val_acc, _ = softmax_cross_entropy(vlogits, yva)
+        except (DivergenceError, DegenerateRowError):
+            diverged = True
+            val_loss, val_acc = float("nan"), float("nan")
+        history.append(net.EpochStats(loss_sum / seen, acc_sum / seen, val_loss, val_acc))
+        if diverged:
+            break
+    csv = TrainingHistory(tuple(history), diverged, ()).to_csv()
+    return params, csv
+
+
+def cli_train_setup(raw):
+    """(network config, task, hyper) as ``nld train`` resolves ``raw``."""
+    config = resolve_config("train", raw)
+    return (
+        _net_config_from(config, config["net"]["stage"]),
+        _task_from(config),
+        _hyper_from(config["hyper"]),
+    )
+
+
+ORIGINAL_N4 = {"net": {"stage": {"formulation": "original", "sub_blocks": 4}}}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"seed": 5, "task": {"num_samples": 64}, "hyper": {"epochs": 6}},
+        {"seed": 11, "task": {"num_samples": 64}, "hyper": {"epochs": 6}, **ORIGINAL_N4},
+        # The benchmark's tiny diverging op: the large step overflows the
+        # original stage's affinity within two epochs.
+        {"seed": 3, "task": {"num_samples": 48}, "hyper": {"epochs": 5, "lr": 2.0}, **ORIGINAL_N4},
+    ],
+    ids=["proposed", "original", "original_diverges"],
+)
+def test_train_equals_per_tensor_reference(raw):
+    config, task, hyper = cli_train_setup(raw)
+    history = train(config, task, hyper, seed=raw["seed"])
+    params, csv = per_tensor_train(config, task, hyper, raw["seed"])
+    assert history.to_csv() == csv
+    assert list(history.final_params) == list(params)
+    for name, value in params.items():
+        assert np.array_equal(history.final_params[name], value), name
+    assert history.diverged == (raw["hyper"].get("lr") == 2.0)
 
 
 # spectra and checkpoints
@@ -545,28 +636,89 @@ def test_checkpoint_round_trip_on_drawn_params(params):
         checkpoint_from_bytes(blob + b"\x00", sidecar)
 
 
-# The W1 gradient contraction against its defining einsum.
+# Every contraction in the training path against its einsum definition.
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def assert_matches_einsum(got, spec, A, B):
+    """``got`` equals ``einsum(spec, A, B)`` within the dot-product error bound.
+
+    A length-K dot product computed in any order is within gamma_K |a|^T |b|
+    of the exact value, gamma_K = K u / (1 - K u), so two computations of it
+    are within twice that of each other (Higham, "Accuracy and Stability of
+    Numerical Algorithms", section 3.1).
+    """
+    want = np.einsum(spec, A, B)
+    inputs, output = spec.split("->")
+    sizes = dict(zip(inputs.replace(",", ""), A.shape + B.shape))
+    K = math.prod(sizes[c] for c in set(sizes) - set(output))
+    gamma = K * UNIT_ROUNDOFF / (1 - K * UNIT_ROUNDOFF)
+    bound = 2 * gamma * np.einsum(spec, np.abs(A), np.abs(B))
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def stage_backward_with_row_gradient(stage, Ws, cache, G):
+    """``_stage_bwd``'s weight gradients, and the dP it hands to the row
+    normalization's backward (one sub-block, so one dP)."""
+    seen = []
+    rownorm_bwd = net._rownorm_bwd
+
+    def spy(dP, P, C):
+        seen.append(dP.copy())
+        return rownorm_bwd(dP, P, C)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(net, "_rownorm_bwd", spy)
+        _, gWs = net._stage_bwd(stage, Ws, cache, G)
+    (dP,) = seen
+    return gWs, dP
 
 
 @given(
-    B=st.integers(1, 64),
-    M=st.integers(1, 33),
-    d=st.integers(1, 40),
-    H=st.integers(1, 64),
+    B=st.integers(1, 48),
+    M=st.integers(1, 24),
+    d=st.integers(1, 24),
+    H=st.integers(1, 48),
     seed=st.integers(0, 2**32),
 )
-@example(B=32, M=10, d=5, H=16, seed=0)
-@example(B=17, M=33, d=40, H=3, seed=1)
-def test_block_w1_gradient_is_bitwise_the_einsum(B, M, d, H, seed):
+@example(B=32, M=10, d=5, H=32, seed=0)
+@example(B=17, M=9, d=24, H=3, seed=1)
+@example(B=1, M=7, d=4, H=6, seed=2)
+@example(B=5, M=1, d=3, H=2, seed=3)
+def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
     rng = SplitMix64(seed)
-    W1 = rng.normals((H, d))
-    W2 = rng.normals((d, H))
+    # The incoming gradient G and every weight applied to it are small
+    # integers, so the per-position products re-formed below (G @ W) are
+    # exact: the operands checked are exactly those the code contracted.
+    def ints(shape):
+        return np.floor(rng.uniforms(shape, -4.0, 5.0))
+
+    G = ints((B, M, d))
     Z = rng.normals((B, M, d))
-    G = rng.normals((B, M, d))
+
+    W1, W2 = rng.normals((H, d)), ints((d, H))
     _, cache = _block_fwd(W1, W2, 1.0, Z)
-    _, gW1, _ = _block_bwd(W1, W2, 1.0, cache, G)
-    _, A1, P1, _ = cache
-    dP1 = (G @ W2) * (P1 > 0) * 1.0
-    want = np.einsum("bmh,bmd->hd", dP1, A1)
-    assert np.array_equal(gW1, want)
-    assert gW1.shape == (H, d) and gW1.flags.c_contiguous
+    _, gW1, gW2 = _block_bwd(W1, W2, 1.0, cache, G)
+    _, A1, P1, A2 = cache
+    assert_matches_einsum(gW2, "bmd,bmh->dh", G, A2)
+    assert_matches_einsum(gW1, "bmh,bmd->hd", (G @ W2) * (P1 > 0), A1)
+    assert gW1.shape == (H, d) and gW2.shape == (d, H)
+
+    W = ints((d, d))
+    for stage in (proposed_stage(), original_stage()):
+        _, scache = net._stage_fwd(stage, [W], Z)
+        (gW,), dP = stage_backward_with_row_gradient(stage, [W], scache, G)
+        # The proposed step adds D W^T with D = P Z - Z (cache slot 6); the
+        # original one adds Y W^T with Y = P Z (slot 5 of its sub-block).
+        step = scache[6][0] if stage.formulation == "proposed" else scache[1][0][5]
+        assert_matches_einsum(gW, "bmc,bme->ce", G, step)
+        assert_matches_einsum(dP, "bie,bje->bij", G @ W, Z)
+
+    config = NetworkConfig(M, d, 3, 1, H)
+    params = init_params(config, seed)
+    _, fcache = net._forward_batch(config, params, Z)
+    dlogits = rng.normals((B, 3))
+    grads = net._backward_batch(config, params, fcache, dlogits)
+    assert_matches_einsum(grads["head.A"], "bc,bd->cd", dlogits, fcache["pooled"])
