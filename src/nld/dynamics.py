@@ -10,14 +10,26 @@ Three operators act on a feature field Z:
 * the Markov operator Z -> K Z for nonnegative row-stochastic K.
 
 Application is matrix-free O(M^2 d).  Three steppers share one evolve
-loop, one operator each:
+loop, one operator each, and each update has one implementation, a
+function of the bare (M, d) state array:
 
 * proposed: Z <- Z + W * (K Z - Z) with the kernel K fixed for the whole
-  run (it was computed from the stage input once).
+  run (it was computed from the stage input once); the explicit Euler step
+  of dZ/dt = (K - I) Z.
 * original: Z <- Z + W * rownorm(omega(Z)) Z, kernel rebuilt on the
-  current state every step.  Nonlinear, and the source of the instability
-  this package exists to demonstrate.
+  current state every step, from the same affinity entries
+  ``build_kernel_matrix`` wraps but without its structural flags.
+  Nonlinear, and the source of the instability this package exists to
+  demonstrate.
 * markov:   Z <- K Z, the plain jump-process evolution.
+
+``step_proposed`` and ``step_original`` wrap the first two for a
+:class:`FeatureField`.  ``evolve`` steps the array itself: it checks a
+fixed kernel against the field once per run, checks each new state's
+largest magnitude against BLOWUP_LIMIT, and computes the per-step
+statistics for blocks of up to STATS_BLOCK states at once, bitwise as
+state by state.  It builds a :class:`FeatureField` per state only when
+asked to record the states.
 
 On top of the trajectories sit the verification routines: mean
 preservation, variance decay (with the one-step energy identity), the
@@ -27,6 +39,7 @@ Poincare constant, and the original block's damping-to-zero check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
@@ -34,7 +47,7 @@ import numpy as np
 
 from .errors import BlowUpError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
-from .kernels import AffinityKernelSpec, KernelMatrix, build_kernel_matrix, normalize_rows
+from .kernels import AffinityKernelSpec, KernelMatrix, _affinities, _rownorm_fwd
 
 # Evolution aborts once any entry magnitude passes this.
 BLOWUP_LIMIT = 1e12
@@ -90,10 +103,10 @@ class StageWeights:
         return self.per_step[n]
 
 
-def _check_diffusion(K: KernelMatrix, Z: FeatureField) -> None:
-    if K.size != Z.num_positions:
+def _check_diffusion(K: KernelMatrix, num_positions: int) -> None:
+    if K.size != num_positions:
         raise ValueError(
-            f"kernel is {K.size}x{K.size} but the field has {Z.num_positions} positions"
+            f"kernel is {K.size}x{K.size} but the field has {num_positions} positions"
         )
     if not K.row_stochastic:
         raise ValueError("diffusion needs a row- or doubly-stochastic kernel (normalize first)")
@@ -106,7 +119,7 @@ def apply_diffusion(K: KernelMatrix, Z: FeatureField) -> FeatureField:
     computed as K Z - Z; that makes the Markov / stage equivalence an
     identity rather than an approximation.
     """
-    _check_diffusion(K, Z)
+    _check_diffusion(K, Z.num_positions)
     return FeatureField(K.entries @ Z.values - Z.values)
 
 
@@ -122,16 +135,24 @@ def _weighted(w: WeightLike, update: np.ndarray) -> np.ndarray:
     return update @ W.T
 
 
+def _proposed_step(Z: np.ndarray, K: np.ndarray, W: WeightLike) -> np.ndarray:
+    return Z + _weighted(W, K @ Z - Z)
+
+
+def _original_step(Z: np.ndarray, spec: AffinityKernelSpec, W: WeightLike) -> np.ndarray:
+    P, _ = _rownorm_fwd(_affinities(Z, spec)[None])
+    return Z + _weighted(W, P[0] @ Z)
+
+
 def step_proposed(Z: FeatureField, K: KernelMatrix, W: WeightLike) -> FeatureField:
     """One proposed sub-step: Z + W * (K Z - Z), under the fixed K."""
-    _check_diffusion(K, Z)
-    return FeatureField(Z.values + _weighted(W, K.entries @ Z.values - Z.values))
+    _check_diffusion(K, Z.num_positions)
+    return FeatureField(_proposed_step(Z.values, K.entries, W))
 
 
 def step_original(Z: FeatureField, spec: AffinityKernelSpec, W: WeightLike) -> FeatureField:
     """One original block: Z + W * rownorm(omega(Z)) Z, the kernel built on Z."""
-    P = normalize_rows(build_kernel_matrix(Z, spec)).entries
-    return FeatureField(Z.values + _weighted(W, P @ Z.values))
+    return FeatureField(_original_step(Z.values, spec, W))
 
 
 @dataclass(frozen=True)
@@ -142,16 +163,28 @@ class StepStats:
     dist_to_mean: float
 
 
+def _block_stats(S: np.ndarray) -> list:
+    """The StepStats of every state in a (k, M, d) stack.
+
+    The mean is the stack's axis-1 mean and each norm one ddot per state
+    (``np.vecdot``, as ``np.linalg.norm`` computes it), so every entry is
+    bitwise what the state alone would give.
+    """
+    k, M, _ = S.shape
+    means = S.mean(axis=1)
+    flat = S.reshape(k, -1)
+    centered = (S - means[:, None, :]).reshape(k, -1)
+    dist = np.sqrt(np.vecdot(centered, centered))
+    l2 = np.sqrt(np.vecdot(flat, flat))
+    variance = dist * dist / M
+    return [
+        StepStats(mean=tuple(m), variance=v, l2_norm=n, dist_to_mean=r)
+        for m, v, n, r in zip(means.tolist(), variance.tolist(), l2.tolist(), dist.tolist())
+    ]
+
+
 def _stats(values: np.ndarray) -> StepStats:
-    mean = values.mean(axis=0)
-    centered = values - mean
-    dist = float(np.linalg.norm(centered))
-    return StepStats(
-        mean=tuple(float(m) for m in mean),
-        variance=dist * dist / values.shape[0],
-        l2_norm=float(np.linalg.norm(values)),
-        dist_to_mean=dist,
-    )
+    return _block_stats(values[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +219,11 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
+# A stepper has a ``name`` and ``step(Z, n, total)``, which maps the (M, d)
+# state array before step n of ``total`` to the next one.  A stepper with a
+# ``kernel`` has it checked against the field once per run.
+
+
 class ProposedStepper:
     """Fixed-kernel linear stage; weights may vary per sub-step."""
 
@@ -195,8 +233,8 @@ class ProposedStepper:
         self.kernel = kernel
         self.weights = StageWeights.coerce(weights)
 
-    def advance(self, Z: FeatureField, n: int, total: int) -> FeatureField:
-        return step_proposed(Z, self.kernel, self.weights.at(n, total))
+    def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
+        return _proposed_step(Z, self.kernel.entries, self.weights.at(n, total))
 
 
 class OriginalStepper:
@@ -208,8 +246,8 @@ class OriginalStepper:
         self.spec = spec
         self.weights = StageWeights.coerce(weights)
 
-    def advance(self, Z: FeatureField, n: int, total: int) -> FeatureField:
-        return step_original(Z, self.spec, self.weights.at(n, total))
+    def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
+        return _original_step(Z, self.spec, self.weights.at(n, total))
 
 
 class MarkovStepper:
@@ -224,8 +262,14 @@ class MarkovStepper:
             raise ValueError("a Markov matrix must be row stochastic")
         self.kernel = kernel
 
-    def advance(self, Z: FeatureField, n: int, total: int) -> FeatureField:
-        return FeatureField(self.kernel.entries @ Z.values)
+    def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
+        return self.kernel.entries @ Z
+
+
+# States whose stats are computed together: at most this many, and at
+# most STATS_BLOCK_BYTES of them.
+STATS_BLOCK = 64
+STATS_BLOCK_BYTES = 1 << 22
 
 
 def evolve(
@@ -237,44 +281,57 @@ def evolve(
     """Run ``num_steps`` of the stepper, recording stats at every state.
 
     A non-finite entry or one beyond BLOWUP_LIMIT aborts with
-    :class:`BlowUpError`; the partial record (up to the last healthy
-    state) rides along on the exception.
+    :class:`BlowUpError` (a NaN is reported as max abs inf); the partial
+    record (up to the last healthy state) rides along on the exception.
+    States are stepped as bare arrays and their stats computed in blocks;
+    a :class:`FeatureField` is built per state only for ``record_states``.
     """
     if num_steps < 0:
         raise ValueError("num_steps must be nonnegative")
     kernel = getattr(stepper, "kernel", None)
-    flags = kernel.flags() if kernel is not None else None
-    stats = [_stats(Z0.values)]
+    flags = None
+    if kernel is not None:
+        _check_diffusion(kernel, Z0.num_positions)
+        flags = kernel.flags()
+    Z = Z0.values
+    rows = max(1, min(STATS_BLOCK, num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
+    block = np.empty((rows,) + Z.shape)
+    block[0] = Z
+    filled = 1
+    stats = []
     states = [Z0] if record_states else None
-    Z = Z0
-    for n in range(num_steps):
-        try:
-            Znew = stepper.advance(Z, n, num_steps)
-            max_abs = float(np.max(np.abs(Znew.values)))
-        except NonFiniteError:
-            # The state (or an affinity computed from it) overflowed.
-            max_abs = float("inf")
-            Znew = None
-        if Znew is None or max_abs > BLOWUP_LIMIT:
-            partial = TrajectoryRecord(
-                steps=n,
-                per_step_stats=tuple(stats),
-                states=tuple(states) if states is not None else None,
-                stepper=stepper.name,
-                kernel_flags=flags,
-            )
-            raise BlowUpError(n + 1, max_abs, partial)
-        Z = Znew
-        stats.append(_stats(Z.values))
-        if states is not None:
-            states.append(Z)
-    return TrajectoryRecord(
-        steps=num_steps,
-        per_step_stats=tuple(stats),
-        states=tuple(states) if states is not None else None,
-        stepper=stepper.name,
-        kernel_flags=flags,
-    )
+
+    def record(steps: int) -> TrajectoryRecord:
+        stats.extend(_block_stats(block[:filled]))
+        return TrajectoryRecord(
+            steps=steps,
+            per_step_stats=tuple(stats),
+            states=tuple(states) if states is not None else None,
+            stepper=stepper.name,
+            kernel_flags=flags,
+        )
+
+    # Overflow surfaces as the blow-up check below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(num_steps):
+            try:
+                Z = stepper.step(Z, n, num_steps)
+                max_abs = float(np.abs(Z).max())
+            except NonFiniteError:
+                # An affinity computed from the state overflowed.
+                max_abs = float("inf")
+            if not (max_abs <= BLOWUP_LIMIT):
+                if math.isnan(max_abs):
+                    max_abs = float("inf")
+                raise BlowUpError(n + 1, max_abs, record(n))
+            if filled == rows:
+                stats.extend(_block_stats(block))
+                filled = 0
+            block[filled] = Z
+            filled += 1
+            if states is not None:
+                states.append(FeatureField(Z))
+    return record(num_steps)
 
 
 @dataclass(frozen=True)

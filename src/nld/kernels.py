@@ -82,8 +82,8 @@ class AffinityKernelSpec:
             if self.inner.variant == EMBEDDED:
                 raise ValueError("embedded kernels do not nest")
             th = np.asarray(self.theta, dtype=np.float64)
-            if th.ndim != 2:
-                raise ValueError(f"theta must be 2-d, got shape {th.shape}")
+            if th.ndim != 2 or th.shape[0] < 1:
+                raise ValueError(f"theta must be 2-d with at least one row, got shape {th.shape}")
             if not np.all(np.isfinite(th)):
                 raise NonFiniteError("theta must be finite")
             object.__setattr__(self, "theta", _frozen_array(th))
@@ -117,10 +117,14 @@ def median_bandwidth(field: FeatureField) -> float:
     Errors when the median is not strictly positive (all points coincide,
     or there is a single position), since a zero bandwidth is meaningless.
     """
-    M = field.num_positions
+    return _median_distance(field.values)
+
+
+def _median_distance(V: np.ndarray) -> float:
+    M = V.shape[0]
     if M < 2:
         raise ValueError("median bandwidth needs at least two positions")
-    d2 = _squared_distances(field.values[None])[0]
+    d2 = _squared_distances(V[None])[0]
     dists = np.sqrt(d2[np.triu_indices(M, k=1)])
     med = float(np.median(dists))
     if not (med > 0.0):
@@ -139,14 +143,20 @@ def resolve_bandwidth(spec: AffinityKernelSpec, field: FeatureField) -> float:
 
 def embed_field(field: FeatureField, theta: np.ndarray) -> FeatureField:
     """Project every feature vector through theta: rows become theta @ x_i."""
+    return FeatureField(_embed(field.values, theta))
+
+
+def _embed(V: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The rows of V projected through theta, held to a field's finiteness."""
     th = np.asarray(theta, dtype=np.float64)
     if th.ndim != 2:
         raise ValueError(f"theta must be 2-d, got shape {th.shape}")
-    if th.shape[1] != field.num_channels:
-        raise ValueError(
-            f"theta maps {th.shape[1]} channels but the field has {field.num_channels}"
-        )
-    return FeatureField(field.values @ th.T)
+    if th.shape[1] != V.shape[1]:
+        raise ValueError(f"theta maps {th.shape[1]} channels but the field has {V.shape[1]}")
+    E = V @ th.T
+    if not np.all(np.isfinite(E)):
+        raise NonFiniteError("field values must be finite")
+    return E
 
 
 def eval_affinity(spec: AffinityKernelSpec, i: int, j: int, field: FeatureField) -> float:
@@ -340,7 +350,12 @@ class KernelMatrix:
 
 
 def build_kernel_matrix(field: FeatureField, spec: AffinityKernelSpec) -> KernelMatrix:
-    """Evaluate the affinity at every pair of positions.
+    """Evaluate the affinity at every pair of positions (see :func:`_affinities`)."""
+    return KernelMatrix.from_entries(_affinities(field.values, spec))
+
+
+def _affinities(V: np.ndarray, spec: AffinityKernelSpec) -> np.ndarray:
+    """The (M, M) affinity entries of one (M, d) field, without flags.
 
     The batched core runs on a batch of one; the upper triangle is then
     mirrored into the lower, so symmetric variants come out bitwise
@@ -348,26 +363,29 @@ def build_kernel_matrix(field: FeatureField, spec: AffinityKernelSpec) -> Kernel
     is reported with its pair, the first in row-major order over the
     upper triangle.
     """
-    work_field = field
-    work_spec = spec
     if spec.variant == EMBEDDED:
         # Project here, not in the core: the median bandwidth below is
         # taken on the projected features.
-        work_field = embed_field(field, spec.theta)
-        work_spec = spec.inner
-    if work_spec.variant == RBF and work_spec.bandwidth is None:
-        work_spec = AffinityKernelSpec.rbf(median_bandwidth(work_field))
-    omega, _ = _kernel_fwd(work_spec, work_field.values[None])
-    K = omega[0]
-    lower = np.tril_indices(field.num_positions, k=-1)
-    K[lower] = K.T[lower]
-    bad = ~np.isfinite(K)
-    if bad.any():
+        V = _embed(V, spec.theta)
+        spec = spec.inner
+    if spec.variant == RBF and spec.bandwidth is None:
+        spec = AffinityKernelSpec.rbf(_median_distance(V))
+    omega, _ = _kernel_fwd(spec, V[None])
+    K = np.where(_upper_triangle(V.shape[0]), omega[0], omega[0].T)
+    if not np.isfinite(K).all():
         # After the mirroring the first bad entry in row-major order lies
         # in the upper triangle: a lower one's mirror comes in an earlier row.
-        i, j = np.argwhere(bad)[0]
+        i, j = np.argwhere(~np.isfinite(K))[0]
         raise NonFiniteError(f"affinity overflowed at pair ({i}, {j})")
-    return KernelMatrix.from_entries(K)
+    return K
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(M: int) -> np.ndarray:
+    """Read-only (M, M) mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((M, M), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def normalize_rows(K: KernelMatrix) -> KernelMatrix:

@@ -194,12 +194,16 @@ def _block_fwd(W1, W2, gain, Z):
     return Z + P2, (Z, A1, P1, A2)
 
 
-def _block_bwd(W1, W2, gain, cache, G):
+def _block_bwd(W1, W2, gain, cache, G, input_grad=True):
+    """(dZ, gW1, gW2); dZ is None without ``input_grad``, as for the first
+    block, whose input is the data."""
     Z, A1, P1, A2 = cache
     gW2 = _weight_grad(G, A2)
     dA2 = _per_position(G, W2)
     dP1 = dA2 * (P1 > 0) * gain
     gW1 = _weight_grad(dP1, A1)
+    if not input_grad:
+        return None, gW1, gW2
     dA1 = _per_position(dP1, W1)
     dZ = G + dA1 * (Z > 0) * gain
     return dZ, gW1, gW2
@@ -311,7 +315,7 @@ def _backward_batch(config: NetworkConfig, params: dict, cache: dict, dlogits: n
         else:
             W1 = params[f"block{idx}.W1"]
             W2 = params[f"block{idx}.W2"]
-            G, gW1, gW2 = _block_bwd(W1, W2, config.block_gain, sub, G)
+            G, gW1, gW2 = _block_bwd(W1, W2, config.block_gain, sub, G, input_grad=idx > 0)
             grads[f"block{idx}.W1"] = gW1
             grads[f"block{idx}.W2"] = gW2
     return grads

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import nld
 from nld import (
@@ -12,9 +13,12 @@ from nld import (
     InsufficientDataError,
     KernelMatrix,
     MarkovStepper,
+    NonFiniteError,
     OriginalStepper,
     ProposedStepper,
+    SplitMix64,
     StageWeights,
+    StepStats,
     apply_diffusion,
     build_kernel_matrix,
     cfl_verdict,
@@ -30,6 +34,7 @@ from nld import (
     verify_mean_preservation,
     verify_variance_decay,
 )
+from nld import dynamics
 
 from conftest import make_balanced_kernel, make_field
 
@@ -109,8 +114,16 @@ def test_step_proposed_bitwise_arithmetic():
 
 @pytest.mark.parametrize(
     "spec",
-    [AffinityKernelSpec.gaussian(), AffinityKernelSpec.rbf(), AffinityKernelSpec.dot_product()],
-    ids=["gaussian", "rbf_median", "dot_product"],
+    [
+        AffinityKernelSpec.gaussian(),
+        AffinityKernelSpec.rbf(),
+        AffinityKernelSpec.rbf(bandwidth=0.7),
+        AffinityKernelSpec.embedded(
+            np.array([[0.4, -0.7], [0.2, 0.9], [1.1, 0.3]]), AffinityKernelSpec.rbf()
+        ),
+        AffinityKernelSpec.dot_product(),
+    ],
+    ids=["gaussian", "rbf_median", "rbf_bandwidth", "embedded", "dot_product"],
 )
 def test_step_original_bitwise_arithmetic(spec):
     Z = FeatureField(np.abs(make_field(26, 7, 2).values))  # dot-product rows sum above 0
@@ -118,8 +131,10 @@ def test_step_original_bitwise_arithmetic(spec):
     omega = build_kernel_matrix(Z, spec).entries
     P = omega / np.sum(omega, axis=1)[:, None]
     assert np.array_equal(normalize_rows(build_kernel_matrix(Z, spec)).entries, P)
-    assert np.array_equal(step_original(Z, spec, -0.5).values, Z.values + -0.5 * (P @ Z.values))
-    assert np.array_equal(step_original(Z, spec, W).values, Z.values + (P @ Z.values) @ W.T)
+    for w, update in ((-0.5, -0.5 * (P @ Z.values)), (W, (P @ Z.values) @ W.T)):
+        out = OriginalStepper(spec, w).step(Z.values, 0, 1)
+        assert np.array_equal(out, Z.values + update)
+        assert np.array_equal(step_original(Z, spec, w).values, out)
 
 
 @pytest.mark.parametrize(
@@ -143,7 +158,9 @@ def test_evolve_builds_one_field_per_step(monkeypatch, make_stepper):
 
     monkeypatch.setattr(FeatureField, "__post_init__", counting)
     evolve(Z0, stepper, 7)
-    assert len(built) == 7
+    assert built == []  # the states are stepped as bare arrays
+    traj = evolve(Z0, stepper, 7, record_states=True)
+    assert len(built) == 7 and len(traj.states) == 8
 
 
 def test_step_original_is_not_linear():
@@ -539,3 +556,150 @@ def test_trajectory_stats_are_nonnegative():
     assert len(traj.per_step_stats) == traj.steps + 1
     for s in traj.per_step_stats:
         assert s.variance >= 0.0 and s.l2_norm >= 0.0 and s.dist_to_mean >= 0.0
+
+
+# evolve on bare arrays: block statistics and the blow-up check
+
+
+def stats_oracle(values):
+    """The per-state statistics formula the blocks are held to, bit for bit."""
+    mean = values.mean(axis=0)
+    dist = float(np.linalg.norm(values - mean))
+    return StepStats(
+        mean=tuple(float(m) for m in mean),
+        variance=dist * dist / values.shape[0],
+        l2_norm=float(np.linalg.norm(values)),
+        dist_to_mean=dist,
+    )
+
+
+def bits(stats):
+    """Every float of a StepStats sequence, as hex: equal means bitwise equal."""
+    return [
+        tuple(float.hex(x) for x in (*s.mean, s.variance, s.l2_norm, s.dist_to_mean))
+        for s in stats
+    ]
+
+
+@given(
+    k=st.integers(1, 64),
+    M=st.integers(1, 512),
+    d=st.integers(1, 6),
+    scale=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32),
+)
+@example(k=64, M=512, d=1, scale=0.0, seed=0)
+@example(k=3, M=512, d=4, scale=3.0, seed=1)
+@example(k=1, M=7, d=2, scale=-5.0, seed=2)
+def test_block_stats_are_bitwise_the_per_state_formula(k, M, d, scale, seed):
+    rng = SplitMix64(seed)
+    S = rng.normals((k, M, d)) * np.exp(scale * rng.normals((k, M, d)))
+    S[0, 0] += 10.0**scale  # an off-center state: the mean is not near 0
+    block = dynamics._block_stats(S)
+    assert bits(block) == bits(stats_oracle(s) for s in S)
+    assert bits([dynamics._stats(S[-1])]) == bits([stats_oracle(S[-1])])
+
+
+@pytest.mark.parametrize("num_steps", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("M, d", [(2, 1), (9, 3), (40, 2)])
+def test_evolve_stats_match_per_state_formula_across_blocks(num_steps, M, d):
+    K = make_balanced_kernel(M + 30, M)
+    Z0 = make_field(M + 31, M, d)
+    for stepper in (ProposedStepper(K, 0.5), MarkovStepper(K)):
+        recorded = evolve(Z0, stepper, num_steps, record_states=True)
+        plain = evolve(Z0, stepper, num_steps)
+        assert len(recorded.states) == num_steps + 1
+        oracle = [stats_oracle(s.values) for s in recorded.states]
+        assert bits(recorded.per_step_stats) == bits(oracle)
+        assert bits(plain.per_step_stats) == bits(recorded.per_step_stats)
+
+
+def test_evolve_stats_blocks_respect_the_byte_cap(monkeypatch):
+    Z0 = make_field(32, 6, 2)
+    K = make_balanced_kernel(33, 6)
+    monkeypatch.setattr(dynamics, "STATS_BLOCK_BYTES", 3 * Z0.values.nbytes)
+    traj = evolve(Z0, ProposedStepper(K, 0.5), 10, record_states=True)
+    assert bits(traj.per_step_stats) == bits(stats_oracle(s.values) for s in traj.states)
+
+
+def test_evolve_blow_up_inside_the_second_block(exchange_kernel, two_state_field):
+    # |1 + 1.2 (-1 - 1)| = 1.4 per step: 1.4^n first passes 1e12 at n = 83,
+    # past the first block of 64 states.
+    with pytest.raises(BlowUpError) as err:
+        evolve(two_state_field, ProposedStepper(exchange_kernel, 1.2), 200, record_states=True)
+    assert err.value.step == 83
+    assert err.value.max_abs == pytest.approx(1.4**83, rel=1e-12)
+    partial = err.value.record
+    assert partial.steps == 82 and len(partial.states) == 83
+    assert bits(partial.per_step_stats) == bits(stats_oracle(s.values) for s in partial.states)
+    assert float(np.max(np.abs(partial.states[-1].values))) <= dynamics.BLOWUP_LIMIT
+
+
+class NonFiniteAt:
+    """A stepper that halves the state and plants ``value`` at step ``at``."""
+
+    name = "non_finite_at"
+
+    def __init__(self, at, value):
+        self.at = at
+        self.value = value
+
+    def step(self, Z, n, total):
+        out = 0.5 * Z
+        if n == self.at:
+            out[-1, -1] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 4, 70])
+def test_non_finite_step_is_an_inf_blow_up_with_the_partial_record(value, at):
+    Z0 = make_field(34, 5, 2)
+    with pytest.raises(BlowUpError) as err:
+        evolve(Z0, NonFiniteAt(at, value), 100, record_states=True)
+    assert err.value.step == at + 1
+    assert err.value.max_abs == math.inf
+    partial = err.value.record
+    assert partial.steps == at and partial.stepper == "non_finite_at"
+    assert partial.kernel_flags is None
+    expect = [Z0.values * 0.5**n for n in range(at + 1)]
+    assert all(np.array_equal(s.values, e) for s, e in zip(partial.states, expect, strict=True))
+    assert bits(partial.per_step_stats) == bits(stats_oracle(e) for e in expect)
+
+
+@pytest.mark.parametrize(
+    "stepper, Z0",
+    [
+        # The weight overflows the update to inf.
+        (ProposedStepper(KernelMatrix.from_entries(np.full((2, 2), 0.5)), 1e300),
+         np.array([[1e10], [-1e10]])),
+        # Jumps past the guard at once.
+        (MarkovStepper(KernelMatrix.from_entries(np.full((2, 2), 0.5))),
+         np.array([[1e300], [1e300]])),
+        # The weight overflows the update to inf.
+        (OriginalStepper(AffinityKernelSpec.rbf(bandwidth=1.0), 1e300),
+         np.array([[1e10], [-1e10]])),
+        # The gaussian affinity overflows.
+        (OriginalStepper(AffinityKernelSpec.gaussian(), 2.0), np.array([[1.0], [0.5]])),
+        # Row sums of 1e-290 against entries of 1e20 put +-inf in P, and
+        # nan in P Z.
+        (OriginalStepper(AffinityKernelSpec.dot_product(), -0.5),
+         np.array([[1e10, 1e-145], [-1e10, 1e-145], [0.0, 1e-145]])),
+    ],
+    ids=["proposed", "markov", "original_update", "original_affinity", "original_nan"],
+)
+def test_blow_up_runs_emit_no_runtime_warning(stepper, Z0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as err:
+            evolve(FeatureField(Z0), stepper, 20)
+    assert err.value.max_abs > dynamics.BLOWUP_LIMIT
+
+
+def test_original_array_step_names_the_overflowing_pair():
+    Z = np.array([[1.0], [30.0], [0.5]])
+    stepper = OriginalStepper(AffinityKernelSpec.gaussian(), -0.5)
+    with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
+        stepper.step(Z, 0, 1)
+    with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
+        build_kernel_matrix(FeatureField(Z), AffinityKernelSpec.gaussian())

@@ -120,6 +120,12 @@ def test_embedded_rejects_nested_embedded():
         AffinityKernelSpec.embedded(theta, inner)
 
 
+def test_embedded_rejects_theta_without_rows():
+    # A projection to zero channels leaves nothing to compare.
+    with pytest.raises(ValueError, match="at least one row"):
+        AffinityKernelSpec.embedded(np.zeros((0, 2)), AffinityKernelSpec.gaussian())
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         AffinityKernelSpec("concatenation")

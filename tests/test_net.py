@@ -722,3 +722,31 @@ def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
     dlogits = rng.normals((B, 3))
     grads = net._backward_batch(config, params, fcache, dlogits)
     assert_matches_einsum(grads["head.A"], "bc,bd->cd", dlogits, fcache["pooled"])
+
+
+@pytest.mark.parametrize("stage_factory", [proposed_stage, original_stage], ids=["proposed", "original"])
+def test_first_block_skips_its_unread_input_gradient(monkeypatch, stage_factory):
+    config = small_config(stage_factory(n=2, placement=0), trunk_blocks=3)
+    params = init_params(config, 5)
+    X = SplitMix64(6).normals((4, config.num_positions, config.num_channels))
+    dlogits = SplitMix64(7).normals((4, config.num_classes))
+    _, cache = net._forward_batch(config, params, X)
+    G = SplitMix64(8).normals(X.shape)
+    W1, W2 = params["block0.W1"], params["block0.W2"]
+    dZ, gW1, gW2 = _block_bwd(W1, W2, config.block_gain, cache["trail"][0][2], G, input_grad=False)
+    full = _block_bwd(W1, W2, config.block_gain, cache["trail"][0][2], G)
+    assert dZ is None and full[0] is not None
+    assert np.array_equal(gW1, full[1]) and np.array_equal(gW2, full[2])
+
+    grads = net._backward_batch(config, params, cache, dlogits)
+    skipped = []
+
+    def every_input_gradient(W1, W2, gain, sub, G, input_grad=True):
+        skipped.append(not input_grad)
+        return _block_bwd(W1, W2, gain, sub, G)
+
+    monkeypatch.setattr(net, "_block_bwd", every_input_gradient)
+    reference = net._backward_batch(config, params, cache, dlogits)
+    assert skipped == [False, False, True]
+    assert reference.keys() == grads.keys()
+    assert all(np.array_equal(grads[k], reference[k]) for k in grads)

@@ -149,14 +149,14 @@ def test_apply_original_decreases_sup_norm_one_sign():
 def test_markov_matrix_accepts_and_applies():
     K = KernelMatrix.from_entries(np.array([[0.9, 0.1], [0.1, 0.9]]))
     Z = FeatureField(np.array([[1.0], [-1.0]]))
-    out = MarkovStepper(K).advance(Z, 0, 1)
-    assert np.allclose(out.values, [[0.8], [-0.8]], rtol=0, atol=1e-15)
+    out = MarkovStepper(K).step(Z.values, 0, 1)
+    assert np.allclose(out, [[0.8], [-0.8]], rtol=0, atol=1e-15)
 
 
 def test_markov_matrix_identity():
     I = KernelMatrix.from_entries(np.eye(3))
     Z = make_field(8, 3, 2)
-    assert np.array_equal(MarkovStepper(I).advance(Z, 0, 1).values, Z.values)
+    assert np.array_equal(MarkovStepper(I).step(Z.values, 0, 1), Z.values)
 
 
 def test_markov_matrix_rejects_negative_entries():
