@@ -27,8 +27,8 @@ function of the bare (M, d) state array:
 :class:`FeatureField`.  ``evolve`` steps the array itself: it checks a
 fixed kernel against the field once per run, checks each new state's
 largest magnitude against BLOWUP_LIMIT, and computes the per-step
-statistics for blocks of up to STATS_BLOCK states at once, bitwise as
-state by state.  It builds a :class:`FeatureField` per state only when
+statistics for blocks of up to STATS_BLOCK_BYTES of states at once,
+bitwise as state by state.  It builds a :class:`FeatureField` per state only when
 asked to record the states.
 
 On top of the trajectories sit the verification routines: mean
@@ -167,8 +167,8 @@ def _block_stats(S: np.ndarray) -> list:
     """The StepStats of every state in a (k, M, d) stack.
 
     The mean is the stack's axis-1 mean and each norm one ddot per state
-    (``np.vecdot``, as ``np.linalg.norm`` computes it), so every entry is
-    bitwise what the state alone would give.
+    (``np.vecdot``, numpy 2.0 on, as ``np.linalg.norm`` computes it), so
+    every entry is bitwise what the state alone would give.
     """
     k, M, _ = S.shape
     means = S.mean(axis=1)
@@ -266,10 +266,9 @@ class MarkovStepper:
         return self.kernel.entries @ Z
 
 
-# States whose stats are computed together: at most this many, and at
-# most STATS_BLOCK_BYTES of them.
-STATS_BLOCK = 64
-STATS_BLOCK_BYTES = 1 << 22
+# evolve computes the stats of as many states at once as fit in this
+# many bytes (64 states at M = 256, d = 4), and of at least one.
+STATS_BLOCK_BYTES = 1 << 19
 
 
 def evolve(
@@ -294,7 +293,7 @@ def evolve(
         _check_diffusion(kernel, Z0.num_positions)
         flags = kernel.flags()
     Z = Z0.values
-    rows = max(1, min(STATS_BLOCK, num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
+    rows = max(1, min(num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
     block = np.empty((rows,) + Z.shape)
     block[0] = Z
     filled = 1

@@ -117,14 +117,10 @@ def median_bandwidth(field: FeatureField) -> float:
     Errors when the median is not strictly positive (all points coincide,
     or there is a single position), since a zero bandwidth is meaningless.
     """
-    return _median_distance(field.values)
-
-
-def _median_distance(V: np.ndarray) -> float:
-    M = V.shape[0]
+    M = field.num_positions
     if M < 2:
         raise ValueError("median bandwidth needs at least two positions")
-    d2 = _squared_distances(V[None])[0]
+    d2 = _squared_distances(field.values[None])[0]
     dists = np.sqrt(d2[np.triu_indices(M, k=1)])
     med = float(np.median(dists))
     if not (med > 0.0):
@@ -143,20 +139,14 @@ def resolve_bandwidth(spec: AffinityKernelSpec, field: FeatureField) -> float:
 
 def embed_field(field: FeatureField, theta: np.ndarray) -> FeatureField:
     """Project every feature vector through theta: rows become theta @ x_i."""
-    return FeatureField(_embed(field.values, theta))
-
-
-def _embed(V: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The rows of V projected through theta, held to a field's finiteness."""
     th = np.asarray(theta, dtype=np.float64)
     if th.ndim != 2:
         raise ValueError(f"theta must be 2-d, got shape {th.shape}")
-    if th.shape[1] != V.shape[1]:
-        raise ValueError(f"theta maps {th.shape[1]} channels but the field has {V.shape[1]}")
-    E = V @ th.T
-    if not np.all(np.isfinite(E)):
-        raise NonFiniteError("field values must be finite")
-    return E
+    if th.shape[1] != field.num_channels:
+        raise ValueError(
+            f"theta maps {th.shape[1]} channels but the field has {field.num_channels}"
+        )
+    return FeatureField(field.values @ th.T)
 
 
 def eval_affinity(spec: AffinityKernelSpec, i: int, j: int, field: FeatureField) -> float:
@@ -366,10 +356,10 @@ def _affinities(V: np.ndarray, spec: AffinityKernelSpec) -> np.ndarray:
     if spec.variant == EMBEDDED:
         # Project here, not in the core: the median bandwidth below is
         # taken on the projected features.
-        V = _embed(V, spec.theta)
+        V = embed_field(FeatureField(V), spec.theta).values
         spec = spec.inner
     if spec.variant == RBF and spec.bandwidth is None:
-        spec = AffinityKernelSpec.rbf(_median_distance(V))
+        spec = AffinityKernelSpec.rbf(median_bandwidth(FeatureField(V)))
     omega, _ = _kernel_fwd(spec, V[None])
     K = np.where(_upper_triangle(V.shape[0]), omega[0], omega[0].T)
     if not np.isfinite(K).all():

@@ -591,6 +591,7 @@ def bits(stats):
 @example(k=64, M=512, d=1, scale=0.0, seed=0)
 @example(k=3, M=512, d=4, scale=3.0, seed=1)
 @example(k=1, M=7, d=2, scale=-5.0, seed=2)
+@example(k=2048, M=16, d=2, scale=1.0, seed=3)  # a full block of small states
 def test_block_stats_are_bitwise_the_per_state_formula(k, M, d, scale, seed):
     rng = SplitMix64(seed)
     S = rng.normals((k, M, d)) * np.exp(scale * rng.normals((k, M, d)))
@@ -600,31 +601,41 @@ def test_block_stats_are_bitwise_the_per_state_formula(k, M, d, scale, seed):
     assert bits([dynamics._stats(S[-1])]) == bits([stats_oracle(S[-1])])
 
 
+def stats_blocks_of(monkeypatch, states, Z0, spare=0):
+    """Have evolve compute stats in blocks of ``states`` states of Z0's size."""
+    monkeypatch.setattr(dynamics, "STATS_BLOCK_BYTES", states * Z0.values.nbytes + spare)
+
+
 @pytest.mark.parametrize("num_steps", [0, 1, 63, 64, 65, 129])
 @pytest.mark.parametrize("M, d", [(2, 1), (9, 3), (40, 2)])
-def test_evolve_stats_match_per_state_formula_across_blocks(num_steps, M, d):
+def test_evolve_stats_match_per_state_formula_across_blocks(monkeypatch, num_steps, M, d):
     K = make_balanced_kernel(M + 30, M)
     Z0 = make_field(M + 31, M, d)
     for stepper in (ProposedStepper(K, 0.5), MarkovStepper(K)):
-        recorded = evolve(Z0, stepper, num_steps, record_states=True)
         plain = evolve(Z0, stepper, num_steps)
+        with monkeypatch.context() as m:
+            stats_blocks_of(m, 64, Z0, spare=Z0.values.nbytes - 1)
+            recorded = evolve(Z0, stepper, num_steps, record_states=True)
         assert len(recorded.states) == num_steps + 1
         oracle = [stats_oracle(s.values) for s in recorded.states]
         assert bits(recorded.per_step_stats) == bits(oracle)
         assert bits(plain.per_step_stats) == bits(recorded.per_step_stats)
 
 
-def test_evolve_stats_blocks_respect_the_byte_cap(monkeypatch):
+@pytest.mark.parametrize("states", [0, 1, 3])
+def test_evolve_stats_blocks_respect_the_byte_cap(monkeypatch, states):
+    # A cap below one state still computes the stats one state at a time.
     Z0 = make_field(32, 6, 2)
     K = make_balanced_kernel(33, 6)
-    monkeypatch.setattr(dynamics, "STATS_BLOCK_BYTES", 3 * Z0.values.nbytes)
+    stats_blocks_of(monkeypatch, states, Z0)
     traj = evolve(Z0, ProposedStepper(K, 0.5), 10, record_states=True)
     assert bits(traj.per_step_stats) == bits(stats_oracle(s.values) for s in traj.states)
 
 
-def test_evolve_blow_up_inside_the_second_block(exchange_kernel, two_state_field):
+def test_evolve_blow_up_inside_the_second_block(monkeypatch, exchange_kernel, two_state_field):
     # |1 + 1.2 (-1 - 1)| = 1.4 per step: 1.4^n first passes 1e12 at n = 83,
     # past the first block of 64 states.
+    stats_blocks_of(monkeypatch, 64, two_state_field)
     with pytest.raises(BlowUpError) as err:
         evolve(two_state_field, ProposedStepper(exchange_kernel, 1.2), 200, record_states=True)
     assert err.value.step == 83
@@ -653,8 +664,9 @@ class NonFiniteAt:
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("at", [0, 4, 70])
-def test_non_finite_step_is_an_inf_blow_up_with_the_partial_record(value, at):
+def test_non_finite_step_is_an_inf_blow_up_with_the_partial_record(monkeypatch, value, at):
     Z0 = make_field(34, 5, 2)
+    stats_blocks_of(monkeypatch, 64, Z0)
     with pytest.raises(BlowUpError) as err:
         evolve(Z0, NonFiniteAt(at, value), 100, record_states=True)
     assert err.value.step == at + 1
