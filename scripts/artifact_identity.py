@@ -15,7 +15,8 @@ artifact is compared byte for byte; ``report.json`` is compared after its
 dropped.  The script prints how many artifacts it compared and each path
 that differs or exists on one side only, and exits 1 on any difference.
 A differing ``checkpoint.bin`` also gets its largest absolute parameter
-difference, and a differing history CSV the epochs trained and the final
+difference, a differing CSV its first differing line and column with both
+cells, and a differing history CSV also the epochs trained and the final
 train loss on each side.  It only imports from ``benchmarks/``; it writes
 nothing there.
 """
@@ -23,6 +24,7 @@ nothing there.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -108,6 +110,19 @@ def _history_summary(path: Path) -> str:
     return f"{len(rows)} epochs, final train loss {final_loss}"
 
 
+def _first_csv_difference(a: Path, b: Path) -> str:
+    """The first differing cell of two CSV files, by 1-based line and column."""
+    rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
+    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
+        if row_a == row_b:
+            continue
+        cells = itertools.zip_longest(row_a.split(","), row_b.split(","))
+        for column, (cell_a, cell_b) in enumerate(cells, start=1):
+            if cell_a != cell_b:
+                return f"first difference at line {line}, column {column}: parent {cell_a!r}, change {cell_b!r}"
+    return f"the common lines are equal; parent {len(rows_a)} lines, change {len(rows_b)} lines"
+
+
 def movement(a: Path, b: Path) -> str:
     """How far a differing artifact moved, or "" when there is no measure for it."""
     if a.name == "checkpoint.bin":
@@ -116,9 +131,12 @@ def movement(a: Path, b: Path) -> str:
             return f"{pa.size} against {pb.size} parameters"
         with np.errstate(invalid="ignore"):
             return f"largest parameter difference {float(np.max(np.abs(pa - pb), initial=0.0))!r}"
-    if a.name.startswith("history") and a.suffix == ".csv":
-        return f"parent {_history_summary(a)}; change {_history_summary(b)}"
-    return ""
+    if a.suffix != ".csv":
+        return ""
+    first = _first_csv_difference(a, b)
+    if a.name.startswith("history"):
+        return f"{first}; parent {_history_summary(a)}; change {_history_summary(b)}"
+    return first
 
 
 def main(argv=None) -> int:

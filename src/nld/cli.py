@@ -240,7 +240,6 @@ CONFIG_SCHEMAS = {
             },
             "kernel": _kernel({"variant": "rbf", "bandwidth": None}),
             "normalization": {"enum": ["row", "sinkhorn"], "default": "sinkhorn"},
-            "record_states": {"type": "boolean", "default": False},
             "initial": _object(
                 {
                     "kind": {"enum": ["normal", "uniform", "explicit"], "default": "normal"},
@@ -614,7 +613,7 @@ def cmd_evolve(config: dict) -> RunReport:
             stepper = dynamics.ProposedStepper(K, weight)
 
     try:
-        traj = dynamics.evolve(Z0, stepper, config["steps"], config["record_states"])
+        traj = dynamics.evolve(Z0, stepper, config["steps"])
         report.checks.append(
             CheckResult(
                 "finite_trajectory",

@@ -260,9 +260,9 @@ def _rownorm_fwd(omega: np.ndarray):
     included) is reported with its sum.
     """
     C = np.sum(omega, axis=2)
-    bad = ~(C > DEGENERATE_ROW_SUM)
-    if bad.any():
-        b, i = np.argwhere(bad)[0]
+    # A nan sum makes the minimum nan, so it fails the test too.
+    if not C.min(initial=np.inf) > DEGENERATE_ROW_SUM:
+        b, i = np.argwhere(~(C > DEGENERATE_ROW_SUM))[0]
         raise DegenerateRowError(int(i), float(C[b, i]))
     return omega / C[:, :, None], C
 

@@ -17,9 +17,18 @@ features trained with softmax cross-entropy.
 
 Every contraction is one BLAS matmul: a per-position product runs on the
 (B*M, c) rows of its batch, a weight gradient is the transposed product of
-two such row matrices, and the kernel gradient is a batched matmul.  The
-trainer keeps all parameters in one flat float64 vector, and the ``params``
-dict it passes around holds views into it.
+two such row matrices, and the kernel gradient is a batched matmul.  At
+these small sizes OpenBLAS is faster on a contiguous operand than on a
+transposed view, by more than a copy costs, so the forward pass copies
+each weight's transpose once, and a stage's backward pass copies P^T once
+per stage and each Z_n^T once per sub-block.  (The kernel Gram V V^T in
+``kernels`` keeps its transposed view: numpy runs it as a symmetric
+rank-k update, which makes it exactly symmetric.)
+
+The trainer keeps all parameters in one flat float64 vector, and the
+``params`` dict it passes around holds views into it.  The backward pass
+writes every gradient in place into views of a second flat vector laid out
+the same way, so the update is one vector expression.
 """
 
 from __future__ import annotations
@@ -181,27 +190,35 @@ def _per_position(X, W):
     return (_rows(X) @ W).reshape(*X.shape[:-1], W.shape[-1])
 
 
-def _weight_grad(G, X):
-    """sum over (b, m) of G[b, m]^T X[b, m]: the gradient of a per-position weight."""
-    return _rows(G).T @ _rows(X)
+def _weight_grad(G, X, out=None):
+    """sum over (b, m) of G[b, m]^T X[b, m]: the gradient of a per-position
+    weight, written into ``out`` when it is given."""
+    return np.matmul(_rows(G).T, _rows(X), out=out)
+
+
+def _transposed(A):
+    """A with its last two axes swapped, as a C-contiguous copy: the layout
+    OpenBLAS multiplies fastest at these sizes (see the module docstring)."""
+    return A.swapaxes(-1, -2).copy()
 
 
 def _block_fwd(W1, W2, gain, Z):
     A1 = np.maximum(gain * Z, 0.0)
-    P1 = _per_position(A1, W1.T)
+    P1 = _per_position(A1, _transposed(W1))
     A2 = np.maximum(gain * P1, 0.0)
-    P2 = _per_position(A2, W2.T)
+    P2 = _per_position(A2, _transposed(W2))
     return Z + P2, (Z, A1, P1, A2)
 
 
-def _block_bwd(W1, W2, gain, cache, G, input_grad=True):
+def _block_bwd(W1, W2, gain, cache, G, input_grad=True, gW1=None, gW2=None):
     """(dZ, gW1, gW2); dZ is None without ``input_grad``, as for the first
-    block, whose input is the data."""
+    block, whose input is the data.  The weight gradients are written into
+    ``gW1`` and ``gW2`` when they are given."""
     Z, A1, P1, A2 = cache
-    gW2 = _weight_grad(G, A2)
+    gW2 = _weight_grad(G, A2, gW2)
     dA2 = _per_position(G, W2)
     dP1 = dA2 * (P1 > 0) * gain
-    gW1 = _weight_grad(dP1, A1)
+    gW1 = _weight_grad(dP1, A1, gW1)
     if not input_grad:
         return None, gW1, gW2
     dA1 = _per_position(dP1, W1)
@@ -212,7 +229,7 @@ def _block_bwd(W1, W2, gain, cache, G, input_grad=True):
 def _stage_fwd(stage: StageConfig, Ws, Z):
     if stage.formulation == PROPOSED:
         omega, kaux = _kernel_fwd(stage.kernel, Z)
-        if not np.all(np.isfinite(omega)):
+        if not np.isfinite(omega).all():
             raise DivergenceError("stage affinity overflowed")
         P, C = _rownorm_fwd(omega)
         cur = Z
@@ -220,7 +237,7 @@ def _stage_fwd(stage: StageConfig, Ws, Z):
         Ds = []
         for W in Ws:
             D = P @ cur - cur
-            cur = cur + _per_position(D, W.T)
+            cur = cur + _per_position(D, _transposed(W))
             Zs.append(cur)
             Ds.append(D)
         return cur, ("proposed", omega, kaux, P, C, Zs, Ds)
@@ -228,36 +245,38 @@ def _stage_fwd(stage: StageConfig, Ws, Z):
     cur = Z
     for W in Ws:
         omega, kaux = _kernel_fwd(stage.kernel, cur)
-        if not np.all(np.isfinite(omega)):
+        if not np.isfinite(omega).all():
             raise DivergenceError("stage affinity overflowed")
         P, C = _rownorm_fwd(omega)
         Y = P @ cur
         subs.append((cur, omega, kaux, P, C, Y))
-        cur = cur + _per_position(Y, W.T)
+        cur = cur + _per_position(Y, _transposed(W))
     return cur, ("original", subs)
 
 
-def _stage_bwd(stage: StageConfig, Ws, cache, G):
+def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs=None):
+    """(dZ, weight gradients); the n-th gradient is written into ``gWs[n]``
+    when ``gWs`` is given."""
+    gWs = [None] * len(Ws) if gWs is None else list(gWs)
     if cache[0] == "proposed":
         _, omega, kaux, P, C, Zs, Ds = cache
         X = Zs[0]
         dP_total = np.zeros_like(P)
-        gWs = [None] * len(Ws)
+        PT = _transposed(P)
         for n in range(len(Ws) - 1, -1, -1):
-            gWs[n] = _weight_grad(G, Ds[n])
+            gWs[n] = _weight_grad(G, Ds[n], gWs[n])
             dD = _per_position(G, Ws[n])
-            dP_total += dD @ np.transpose(Zs[n], (0, 2, 1))
-            G = G + np.transpose(P, (0, 2, 1)) @ dD - dD
+            dP_total += dD @ _transposed(Zs[n])
+            G = G + PT @ dD - dD
         dOmega = _rownorm_bwd(dP_total, P, C)
         dX = G + _kernel_bwd(stage.kernel, X, omega, kaux, dOmega)
         return dX, gWs
     _, subs = cache
-    gWs = [None] * len(Ws)
     for n in range(len(Ws) - 1, -1, -1):
         Zn, omega, kaux, P, C, Y = subs[n]
-        gWs[n] = _weight_grad(G, Y)
+        gWs[n] = _weight_grad(G, Y, gWs[n])
         dY = _per_position(G, Ws[n])
-        dP = dY @ np.transpose(Zn, (0, 2, 1))
+        dP = dY @ _transposed(Zn)
         dOmega = _rownorm_bwd(dP, P, C)
         G = G + np.transpose(P, (0, 2, 1)) @ dY + _kernel_bwd(stage.kernel, Zn, omega, kaux, dOmega)
     return G, gWs
@@ -277,47 +296,53 @@ def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray):
         for b in range(config.trunk_blocks):
             Z, bc = _block_fwd(params[f"block{b}.W1"], params[f"block{b}.W2"], config.block_gain, Z)
             trail.append(("block", b, bc))
-            if not np.all(np.isfinite(Z)):
+            if not np.isfinite(Z).all():
                 raise DivergenceError(f"non-finite activations after block {b}")
             if b in by_placement:
                 s = by_placement[b]
                 Ws = [params[name] for name in _stage_param_names(config, s)]
                 Z, sc = _stage_fwd(config.stages[s], Ws, Z)
                 trail.append(("stage", s, sc))
-                if not np.all(np.isfinite(Z)):
+                if not np.isfinite(Z).all():
                     raise DivergenceError(f"non-finite activations after stage {s}")
         pooled = Z.mean(axis=1)
         logits = pooled @ params["head.A"].T + params["head.b"]
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits")
     cache = {"trail": trail, "pooled": pooled, "logits": logits, "params": params, "batch": X}
     return logits, cache
 
 
-def _backward_batch(config: NetworkConfig, params: dict, cache: dict, dlogits: np.ndarray) -> dict:
+def _backward_batch(
+    config: NetworkConfig, params: dict, cache: dict, dlogits: np.ndarray, grads: Optional[dict] = None
+) -> dict:
+    """Every parameter's gradient, written into ``grads``.
+
+    ``grads`` holds views into one flat vector laid out like ``params``
+    (see ``_flat_views``); without it, one is allocated.  Every element of
+    the vector is written.
+    """
     if cache.get("params") is not params:
         raise ValueError("stale cache: it was produced by a different parameter set")
+    if grads is None:
+        grads = _flat_views(params, np.empty(sum(np.size(v) for v in params.values())))
     pooled = cache["pooled"]
     M = config.num_positions
-    grads = {}
-    grads["head.A"] = dlogits.T @ pooled
-    grads["head.b"] = np.sum(dlogits, axis=0)
+    np.matmul(dlogits.T, pooled, out=grads["head.A"])
+    np.sum(dlogits, axis=0, out=grads["head.b"])
     dpooled = dlogits @ params["head.A"]
-    B = pooled.shape[0]
-    G = np.broadcast_to(dpooled[:, None, :] / M, (B, M, config.num_channels)).copy()
+    G = np.repeat(dpooled[:, None, :] / M, M, axis=1)
     for kind, idx, sub in reversed(cache["trail"]):
         if kind == "stage":
             names = _stage_param_names(config, idx)
             Ws = [params[name] for name in names]
-            G, gWs = _stage_bwd(config.stages[idx], Ws, sub, G)
-            for name, gW in zip(names, gWs):
-                grads[name] = gW
+            G, _ = _stage_bwd(config.stages[idx], Ws, sub, G, [grads[name] for name in names])
         else:
             W1 = params[f"block{idx}.W1"]
             W2 = params[f"block{idx}.W2"]
-            G, gW1, gW2 = _block_bwd(W1, W2, config.block_gain, sub, G, input_grad=idx > 0)
-            grads[f"block{idx}.W1"] = gW1
-            grads[f"block{idx}.W2"] = gW2
+            G, _, _ = _block_bwd(
+                W1, W2, config.block_gain, sub, G, idx > 0, grads[f"block{idx}.W1"], grads[f"block{idx}.W2"]
+            )
     return grads
 
 
@@ -326,15 +351,15 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     denom = e.sum(axis=1, keepdims=True)
-    p = e / denom
     B = logits.shape[0]
     idx = np.arange(B)
     losses = np.log(denom[:, 0]) + m[:, 0] - logits[idx, labels]
     loss = float(losses.mean())
-    onehot = np.zeros_like(p)
-    onehot[idx, labels] = 1.0
-    dlogits = (p - onehot) / B
-    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
+    # The softmax probabilities minus the one-hot labels, over B.
+    dlogits = e / denom
+    dlogits[idx, labels] -= 1.0
+    dlogits /= B
+    acc = int(np.count_nonzero(np.argmax(logits, axis=1) == labels)) / B
     return loss, acc, dlogits
 
 
@@ -532,6 +557,17 @@ def _epoch_lr(hyper: Hyper, epoch: int) -> float:
     return hyper.lr * hyper.lr_drop_factor**drops
 
 
+def _flat_views(params: dict, flat: np.ndarray) -> dict:
+    """Views into ``flat`` with the names, shapes and order of ``params``."""
+    views = {}
+    offset = 0
+    for name, value in params.items():
+        size = np.size(value)
+        views[name] = flat[offset : offset + size].reshape(np.shape(value))
+        offset += size
+    return views
+
+
 def _flat_params(params: dict):
     """One float64 vector holding every tensor, and a dict of views into it.
 
@@ -539,13 +575,7 @@ def _flat_params(params: dict):
     layout is unchanged and an update of the vector moves every tensor.
     """
     theta = np.concatenate([np.ravel(v) for v in params.values()])
-    views = {}
-    offset = 0
-    for name, value in params.items():
-        size = np.size(value)
-        views[name] = theta[offset : offset + size].reshape(np.shape(value))
-        offset += size
-    return theta, views
+    return theta, _flat_views(params, theta)
 
 
 def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 0) -> TrainingHistory:
@@ -560,6 +590,8 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
     if (task.num_positions, task.num_channels) != (config.num_positions, config.num_channels):
         raise ValueError("task and config disagree on field shape")
     theta, params = _flat_params(init_params(config, seed))
+    gflat = np.empty_like(theta)
+    grads = _flat_views(params, gflat)
     vel = np.zeros_like(theta)
     n_val = int(round(hyper.val_fraction * task.num_samples))
     n_val = min(n_val, task.num_samples - 1)
@@ -576,6 +608,7 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
         lr = _epoch_lr(hyper, epoch)
         order = list(range(n_train))
         shuffler.shuffle(order)
+        order = np.array(order)
         seen = 0
         loss_sum = 0.0
         acc_sum = 0.0
@@ -588,11 +621,11 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
                 loss, acc, dlogits = softmax_cross_entropy(logits, yb)
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite loss")
-                grads = _backward_batch(config, params, cache, dlogits)
+                _backward_batch(config, params, cache, dlogits, grads)
             except (DivergenceError, DegenerateRowError) as err:
                 divergence = f"epoch {epoch}, batch {batch}: {err}"
                 break
-            g = np.concatenate([np.ravel(grads[k]) for k in params]) + hyper.weight_decay * theta
+            g = gflat + hyper.weight_decay * theta
             vel = hyper.momentum * vel - lr * g
             theta += vel
             loss_sum += loss * len(rows)

@@ -94,7 +94,6 @@ RESOLVED_DEFAULTS = {
         "weight": 1.0,
         "kernel": {"variant": "rbf", "bandwidth": None},
         "normalization": "sinkhorn",
-        "record_states": False,
         "initial": {"kind": "normal", "scale": 1.0},
     },
     "spectrum": {
@@ -190,6 +189,8 @@ def test_unknown_top_level_key_rejected():
         resolve_config("verify-theory", {"bogus": 1})
     with pytest.raises(ConfigError, match="'parallel' was unexpected"):
         resolve_config("compare", {"parallel": False})
+    with pytest.raises(ConfigError, match="'record_states' was unexpected"):
+        resolve_config("evolve", {"record_states": True})
 
 
 def test_unknown_nested_key_rejected():

@@ -461,6 +461,9 @@ def test_history_csv_layout():
     assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
     assert len(lines) == 4
     assert lines[1].split(",")[0] == "0"
+    for line in lines[1:]:
+        for field in line.split(","):
+            float(field)
 
 
 def test_learning_moves_loss_down():
@@ -741,12 +744,74 @@ def test_first_block_skips_its_unread_input_gradient(monkeypatch, stage_factory)
     grads = net._backward_batch(config, params, cache, dlogits)
     skipped = []
 
-    def every_input_gradient(W1, W2, gain, sub, G, input_grad=True):
+    def every_input_gradient(W1, W2, gain, sub, G, input_grad=True, gW1=None, gW2=None):
         skipped.append(not input_grad)
-        return _block_bwd(W1, W2, gain, sub, G)
+        return _block_bwd(W1, W2, gain, sub, G, True, gW1, gW2)
 
     monkeypatch.setattr(net, "_block_bwd", every_input_gradient)
     reference = net._backward_batch(config, params, cache, dlogits)
     assert skipped == [False, False, True]
     assert reference.keys() == grads.keys()
     assert all(np.array_equal(grads[k], reference[k]) for k in grads)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [None, proposed_stage(n=3), original_stage(n=3), proposed_stage(n=2, placement=0)],
+    ids=["stageless", "proposed", "original", "placement_0"],
+)
+def test_backward_writes_every_gradient_into_the_flat_buffer(stage):
+    config = small_config(stage, trunk_blocks=3)
+    theta, params = net._flat_params(init_params(config, 4))
+    X = SplitMix64(12).normals((6, config.num_positions, config.num_channels))
+    dlogits = SplitMix64(13).normals((6, config.num_classes))
+    _, cache = net._forward_batch(config, params, X)
+    allocated = net._backward_batch(config, params, cache, dlogits)
+
+    gflat = np.full_like(theta, np.nan)
+    views = net._flat_views(params, gflat)
+    assert net._backward_batch(config, params, cache, dlogits, views) is views
+    assert not np.isnan(gflat).any()
+    assert list(allocated) == list(params)
+    assert gflat.tobytes() == np.concatenate([allocated[k].ravel() for k in params]).tobytes()
+
+
+def one_hot_softmax_cross_entropy(logits, labels):
+    """The definition: (p - onehot(labels)) / B, and the mean of the hits."""
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    denom = e.sum(axis=1, keepdims=True)
+    p = e / denom
+    B = logits.shape[0]
+    idx = np.arange(B)
+    losses = np.log(denom[:, 0]) + m[:, 0] - logits[idx, labels]
+    onehot = np.zeros_like(p)
+    onehot[idx, labels] = 1.0
+    return float(losses.mean()), float(np.mean(np.argmax(logits, axis=1) == labels)), (p - onehot) / B
+
+
+@given(
+    B=st.integers(1, 40),
+    C=st.integers(2, 6),
+    scale=st.sampled_from([0.01, 1.0, 40.0]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(B=32, C=3, scale=1.0, ties=False, seed=0)
+@example(B=5, C=2, scale=1.0, ties=True, seed=1)
+def test_softmax_cross_entropy_equals_its_one_hot_definition(B, C, scale, ties, seed):
+    rng = SplitMix64(seed)
+    logits = scale * rng.normals((B, C))
+    if ties:
+        logits = np.floor(logits)
+    labels = np.array([rng.randint(C) for _ in range(B)])
+    loss, acc, dlogits = softmax_cross_entropy(logits, labels)
+    want_loss, want_acc, want_dlogits = one_hot_softmax_cross_entropy(logits, labels)
+    assert type(loss) is float and type(acc) is float
+    assert (loss, acc) == (want_loss, want_acc)
+    assert dlogits.tobytes() == want_dlogits.tobytes()
+
+    stats = net.EpochStats(loss, acc, loss, acc)
+    csv = TrainingHistory((stats,), False, ()).to_csv()
+    fields = [float(field) for field in csv.splitlines()[1].split(",")]
+    assert fields[1:] == [loss, acc, loss, acc]
