@@ -399,6 +399,81 @@ def test_verify_theory_unstable_weight_is_expected_fail(tmp_path):
     assert check_by_name(report, "mean_preservation")["status"] in ("pass", "expected_fail")
 
 
+_FLAGS_DETAIL = '{"doubly_stochastic": true, "nonnegative": true, "row_stochastic": true, "symmetric": true}'
+_NO_PREDICTION = "contraction spectrum not positive; no exponential prediction"
+
+# Every check of three verify-theory runs, as (name, status, measured,
+# threshold, detail): a stable weight, an unstable one (the expected_fail
+# path) and a negative one (no exponential prediction, so a soft decay check).
+PINNED_VERIFY_THEORY = {
+    "default": (
+        {},
+        [
+            ("kernel_flags", "pass", None, None, _FLAGS_DETAIL),
+            ("constant_annihilation", "pass", 7.771561172376096e-16, 1e-12, None),
+            ("mean_zero", "pass", 2.220446049250313e-16, 1e-10, None),
+            ("quadratic_form_nonpositive", "pass", -29.36959336417932, 1e-12, None),
+            ("energy_identity", "pass", 2.220446049250313e-16, 1e-10, None),
+            ("cfl_radius", "pass", 0.9999999999999998, None, "stable"),
+            ("mean_preservation", "pass", 1.942890293094024e-16, 1e-10, None),
+            ("variance_decay", "pass", 2.28704180895987e-34, 1e-12, None),
+            ("decay_rate_vs_gap", "pass", 0.35992027527927123, 0.3496004652239355, "r_squared 0.998277"),
+            ("eigenvector_rate_equality", "pass", 0.34960046522393495, 0.3496004652239355, None),
+            ("poincare_positive", "pass", 0.590060613263372, 0.0, None),
+            ("poincare_inequality", "pass", 58.739186728358646, 36.72700034660673, None),
+        ],
+    ),
+    "unstable_weight": (
+        {"num_positions": 8, "steps": 20, "weight": 3.0, "bandwidth": 100.0},
+        [
+            ("kernel_flags", "pass", None, None, _FLAGS_DETAIL),
+            ("constant_annihilation", "pass", 6.661338147750939e-16, 1e-12, None),
+            ("mean_zero", "pass", 1.887379141862766e-15, 1e-10, None),
+            ("quadratic_form_nonpositive", "pass", -13.303395221065717, 1e-12, None),
+            ("energy_identity", "pass", 2.220446049250313e-16, 1e-10, None),
+            ("cfl_radius", "pass", 1.9999999999999698, None, "unstable"),
+            ("mean_preservation", "expected_fail", 2.8727431544695037e-10, 1e-10, None),
+            ("variance_decay", "expected_fail", 1369057832046.2295, 1e-12, "first increase at step 0"),
+            ("decay_rate_vs_gap", "soft", None, None, _NO_PREDICTION),
+            ("poincare_positive", "pass", 0.9999076243878189, 0.0, None),
+            ("poincare_inequality", "pass", 26.606790442131427, 26.605060248528893, None),
+        ],
+    ),
+    "negative_weight": (
+        {"num_positions": 8, "steps": 20, "weight": -0.5},
+        [
+            ("kernel_flags", "pass", None, None, _FLAGS_DETAIL),
+            ("constant_annihilation", "pass", 4.440892098500626e-16, 1e-12, None),
+            ("mean_zero", "pass", 1.2212453270876722e-15, 1e-10, None),
+            ("quadratic_form_nonpositive", "pass", -11.542192638261461, 1e-12, None),
+            ("energy_identity", "pass", 2.220446049250313e-16, 1e-10, None),
+            ("cfl_radius", "pass", 1.4998884002100825, None, "unstable"),
+            ("mean_preservation", "pass", 5.561107130347409e-13, 1e-10, None),
+            ("variance_decay", "expected_fail", 5274260.035370292, 1e-12, "first increase at step 0"),
+            ("decay_rate_vs_gap", "soft", None, None, _NO_PREDICTION),
+            ("poincare_positive", "pass", 0.6638608577060999, 0.0, None),
+            ("poincare_inequality", "pass", 23.084385276522923, 17.663689810070437, None),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VERIFY_THEORY))
+def test_verify_theory_checks_are_pinned(tmp_path, case):
+    config, expected = PINNED_VERIFY_THEORY[case]
+    code, out = run_cli(tmp_path, "verify-theory", config)
+    assert code == 0
+    checks = read_report(out)["checks"]
+    got = [(c["name"], c["status"], c["detail"]) for c in checks]
+    assert got == [(name, status, detail) for name, status, _m, _t, detail in expected]
+    for check, (name, _s, measured, threshold, _d) in zip(checks, expected):
+        for key, value in (("measured", measured), ("threshold", threshold)):
+            if value is None:
+                assert check[key] is None, (name, key)
+            else:
+                assert check[key] == pytest.approx(value, rel=1e-12, abs=1e-14), (name, key)
+
+
 # ---------------------------------------------------------------------------
 # evolve.
 # ---------------------------------------------------------------------------
