@@ -11,7 +11,9 @@ Five subcommands expose the package as seeded, config-driven experiments:
 Each run takes one JSON config (schema-validated, unknown keys rejected),
 merges it over defaults, and emits artifacts plus a RunReport JSON whose
 config echo is sufficient to reproduce the run byte-for-byte; the only
-nondeterministic field is the wall time.
+nondeterministic field is the wall time.  A subcommand only adds its
+checks and artifacts to the report; one runner makes the output
+directory, times the run and writes report.json.
 """
 
 from __future__ import annotations
@@ -114,26 +116,32 @@ class RunReport:
         return doc
 
 
+def _check(name: str, ok, measured=None, threshold=None, detail=None) -> CheckResult:
+    return CheckResult(name, "pass" if ok else "fail", measured, threshold, detail)
+
+
+def _stable_weight_check(name: str, passed, stable: bool, measured, threshold, detail=None) -> CheckResult:
+    """A theorem that assumes a stable weight.
+
+    An unstable run amplifies roundoff past the theorem's absolute
+    tolerance, so there a miss is expected rather than a failure.
+    """
+    status = "pass" if passed else ("fail" if stable else "expected_fail")
+    return CheckResult(name, status, measured, threshold, detail)
+
+
 def _write_text(out_dir: Path, name: str, text: str) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", newline="\n") as fh:
-        fh.write(text)
+    (out_dir / name).write_text(text, newline="\n")
     return name
 
 
 def _write_bytes(out_dir: Path, name: str, blob: bytes) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "wb") as fh:
-        fh.write(blob)
+    (out_dir / name).write_bytes(blob)
     return name
 
 
-def _finish(report: RunReport, out_dir: Path, started: float) -> RunReport:
-    report.wall_time_seconds = time.monotonic() - started
-    report.artifacts.append("report.json")
-    doc = report.to_json_dict()
-    _write_text(out_dir, "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return report
+def _write_json(out_dir: Path, name: str, doc) -> str:
+    return _write_text(out_dir, name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +422,7 @@ def _seeded_field(seed: int, label: str, M: int, d: int, kind="normal", scale=1.
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_theory(config: dict) -> RunReport:
-    started = time.monotonic()
-    out_dir = Path(config["out_dir"])
-    report = RunReport("verify-theory", config)
+def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
     seed = config["seed"]
     M = config["num_positions"]
     d = config["num_channels"]
@@ -429,9 +434,9 @@ def cmd_verify_theory(config: dict) -> RunReport:
         X, bandwidth=config["bandwidth"], tol=config["sinkhorn_tol"]
     )
     report.checks.append(
-        CheckResult(
+        _check(
             "kernel_flags",
-            "pass" if (K.symmetric and K.doubly_stochastic) else "fail",
+            K.symmetric and K.doubly_stochastic,
             detail=json.dumps(K.flags(), sort_keys=True),
         )
     )
@@ -439,47 +444,19 @@ def cmd_verify_theory(config: dict) -> RunReport:
     Z0 = _seeded_field(seed, "state", M, d)
     const = FeatureField(np.ones((M, d)) * 0.7)
     dev_const = float(np.max(np.abs(dynamics.apply_diffusion(K, const).values)))
-    report.checks.append(
-        CheckResult(
-            "constant_annihilation",
-            "pass" if dev_const <= 1e-12 else "fail",
-            measured=dev_const,
-            threshold=1e-12,
-        )
-    )
+    report.checks.append(_check("constant_annihilation", dev_const <= 1e-12, dev_const, 1e-12))
     LZ = dynamics.apply_diffusion(K, Z0).values
     mean_zero = float(np.max(np.abs(LZ.sum(axis=0))))
-    report.checks.append(
-        CheckResult(
-            "mean_zero",
-            "pass" if mean_zero <= 1e-10 else "fail",
-            measured=mean_zero,
-            threshold=1e-10,
-        )
-    )
+    report.checks.append(_check("mean_zero", mean_zero <= 1e-10, mean_zero, 1e-10))
     quad = float(np.sum(Z0.values * LZ))
-    report.checks.append(
-        CheckResult(
-            "quadratic_form_nonpositive",
-            "pass" if quad <= 1e-12 else "fail",
-            measured=quad,
-            threshold=1e-12,
-        )
-    )
+    report.checks.append(_check("quadratic_form_nonpositive", quad <= 1e-12, quad, 1e-12))
 
     # One Markov step's variance drop against the energy identity.
     Z1 = FeatureField(K.entries @ Z0.values)
     drop = dynamics._stats(Z0.values).variance - dynamics._stats(Z1.values).variance
     predicted = dynamics.variance_dissipation(K, Z0)
     energy_err = abs(drop - predicted)
-    report.checks.append(
-        CheckResult(
-            "energy_identity",
-            "pass" if energy_err <= 1e-10 else "fail",
-            measured=energy_err,
-            threshold=1e-10,
-        )
-    )
+    report.checks.append(_check("energy_identity", energy_err <= 1e-10, energy_err, 1e-10))
 
     verdict = dynamics.cfl_verdict(K, w)
     report.checks.append(
@@ -493,31 +470,23 @@ def cmd_verify_theory(config: dict) -> RunReport:
 
     traj = dynamics.evolve(Z0, dynamics.ProposedStepper(K, w), steps)
     mean_rep = dynamics.verify_mean_preservation(traj)
-    if mean_rep.passed:
-        mean_status = "pass"
-    else:
-        # The preservation theorem assumes a stable weight; an unstable run
-        # amplifies roundoff in the column means past the absolute tolerance.
-        mean_status = "expected_fail" if not verdict.stable else "fail"
     report.checks.append(
-        CheckResult(
+        _stable_weight_check(
             "mean_preservation",
-            mean_status,
-            measured=mean_rep.max_deviation,
-            threshold=mean_rep.tolerance,
+            mean_rep.passed,
+            verdict.stable,
+            mean_rep.max_deviation,
+            mean_rep.tolerance,
         )
     )
     var_rep = dynamics.verify_variance_decay(traj)
-    if var_rep.passed:
-        var_status = "pass"
-    else:
-        var_status = "expected_fail" if not verdict.stable else "fail"
     report.checks.append(
-        CheckResult(
+        _stable_weight_check(
             "variance_decay",
-            var_status,
-            measured=var_rep.max_increase,
-            threshold=var_rep.tolerance,
+            var_rep.passed,
+            verdict.stable,
+            var_rep.max_increase,
+            var_rep.tolerance,
             detail=None
             if var_rep.first_violation_step is None
             else f"first increase at step {var_rep.first_violation_step}",
@@ -532,11 +501,11 @@ def cmd_verify_theory(config: dict) -> RunReport:
         prediction = -np.log(factor)
         fit = dynamics.estimate_decay_rate(traj)
         report.checks.append(
-            CheckResult(
+            _check(
                 "decay_rate_vs_gap",
-                "pass" if fit.lambda_hat >= prediction - 1e-6 else "fail",
-                measured=fit.lambda_hat,
-                threshold=prediction,
+                fit.lambda_hat >= prediction - 1e-6,
+                fit.lambda_hat,
+                prediction,
                 detail=f"r_squared {fit.r_squared:.6f}",
             )
         )
@@ -544,11 +513,11 @@ def cmd_verify_theory(config: dict) -> RunReport:
         eig_traj = dynamics.evolve(Zeig, dynamics.ProposedStepper(K, w), steps)
         eig_fit = dynamics.estimate_decay_rate(eig_traj)
         report.checks.append(
-            CheckResult(
+            _check(
                 "eigenvector_rate_equality",
-                "pass" if abs(eig_fit.lambda_hat - prediction) <= 1e-6 else "fail",
-                measured=eig_fit.lambda_hat,
-                threshold=prediction,
+                abs(eig_fit.lambda_hat - prediction) <= 1e-6,
+                eig_fit.lambda_hat,
+                prediction,
             )
         )
     else:
@@ -561,29 +530,16 @@ def cmd_verify_theory(config: dict) -> RunReport:
         )
 
     m = dynamics.poincare_constant(K)
-    report.checks.append(
-        CheckResult("poincare_positive", "pass" if m > 0 else "fail", measured=m, threshold=0.0)
-    )
+    report.checks.append(_check("poincare_positive", m > 0, m, 0.0))
     centered = Z0.values - Z0.values.mean(axis=0)
     lhs = float(np.sum(K.entries * dynamics._pair_distances(centered)))
     rhs = 2.0 * m * float(np.sum(centered * centered))
-    report.checks.append(
-        CheckResult(
-            "poincare_inequality",
-            "pass" if lhs >= rhs * (1.0 - 1e-9) - 1e-12 else "fail",
-            measured=lhs,
-            threshold=rhs,
-        )
-    )
+    report.checks.append(_check("poincare_inequality", lhs >= rhs * (1.0 - 1e-9) - 1e-12, lhs, rhs))
 
     report.artifacts.append(_write_text(out_dir, "trajectory.csv", traj.to_csv()))
-    return _finish(report, out_dir, started)
 
 
-def cmd_evolve(config: dict) -> RunReport:
-    started = time.monotonic()
-    out_dir = Path(config["out_dir"])
-    report = RunReport("evolve", config)
+def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
     seed = config["seed"]
     M = config["num_positions"]
     d = config["num_channels"]
@@ -634,13 +590,9 @@ def cmd_evolve(config: dict) -> RunReport:
             )
         )
     report.artifacts.append(_write_text(out_dir, "trajectory.csv", traj.to_csv()))
-    return _finish(report, out_dir, started)
 
 
-def cmd_spectrum(config: dict) -> RunReport:
-    started = time.monotonic()
-    out_dir = Path(config["out_dir"])
-    report = RunReport("spectrum", config)
+def cmd_spectrum(config: dict, report: RunReport, out_dir: Path) -> None:
     path = Path(config["input_path"])
     top_k = config["top_k"]
     try:
@@ -660,15 +612,13 @@ def cmd_spectrum(config: dict) -> RunReport:
                 raise ValueError("checkpoint holds no stage weight tensors")
     except (OSError, ValueError, json.JSONDecodeError) as err:
         report.checks.append(CheckResult("input_readable", "fail", detail=str(err)))
-        return _finish(report, out_dir, started)
+        return
     report.checks.append(CheckResult("input_readable", "pass", detail=f"{len(targets)} matrix(es)"))
 
     for name, W in targets.items():
         rep = spectrum_report(W, top_k=top_k)
         stem = "spectrum" if name == "matrix" else f"spectrum_{name}"
-        report.artifacts.append(
-            _write_text(out_dir, f"{stem}.json", json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n")
-        )
+        report.artifacts.append(_write_json(out_dir, f"{stem}.json", rep.to_json_dict()))
         report.artifacts.append(_write_text(out_dir, f"{stem}.csv", rep.to_csv()))
         report.checks.append(
             CheckResult(
@@ -678,7 +628,6 @@ def cmd_spectrum(config: dict) -> RunReport:
                 detail=f"pos {rep.num_positive} / neg {rep.num_negative}",
             )
         )
-    return _finish(report, out_dir, started)
 
 
 def _task_from(config: dict) -> net.SyntheticTask:
@@ -737,10 +686,7 @@ def _spectra_checks(report: RunReport, reports: list, config_formulation: str, p
     )
 
 
-def cmd_train(config: dict) -> RunReport:
-    started = time.monotonic()
-    out_dir = Path(config["out_dir"])
-    report = RunReport("train", config)
+def cmd_train(config: dict, report: RunReport, out_dir: Path) -> None:
     task = _task_from(config)
     net_config = _net_config_from(config, config["net"]["stage"])
     hyper = _hyper_from(config["hyper"])
@@ -762,30 +708,17 @@ def cmd_train(config: dict) -> RunReport:
             CheckResult("final_train_acc", "pass", measured=last.train_acc)
         )
     spectra = _stage_spectra(history)
-    if spectra:
-        _spectra_checks(report, spectra, net_config.stages[0].formulation)
+    _spectra_checks(report, spectra, net_config.stages[0].formulation)
 
     report.artifacts.append(_write_text(out_dir, "history.csv", history.to_csv()))
     blob, sidecar = net.checkpoint_bytes(history.final_params)
     report.artifacts.append(_write_bytes(out_dir, "checkpoint.bin", blob))
-    report.artifacts.append(
-        _write_text(out_dir, "checkpoint.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    )
+    report.artifacts.append(_write_json(out_dir, "checkpoint.json", sidecar))
     for idx, rep in enumerate(spectra):
-        report.artifacts.append(
-            _write_text(
-                out_dir,
-                f"spectrum_sub{idx}.json",
-                json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            )
-        )
-    return _finish(report, out_dir, started)
+        report.artifacts.append(_write_json(out_dir, f"spectrum_sub{idx}.json", rep.to_json_dict()))
 
 
-def cmd_compare(config: dict) -> RunReport:
-    started = time.monotonic()
-    out_dir = Path(config["out_dir"])
-    report = RunReport("compare", config)
+def cmd_compare(config: dict, report: RunReport, out_dir: Path) -> None:
     task = _task_from(config)
     hyper = _hyper_from(config["hyper"])
     net_doc = config["net"]
@@ -829,15 +762,14 @@ def cmd_compare(config: dict) -> RunReport:
             p_loss = results[("proposed", n)][0]
             o_loss = results[("original", n)][0]
             report.checks.append(
-                CheckResult(
+                _check(
                     f"ordering_N{n}",
-                    "pass" if p_loss <= o_loss else "fail",
-                    measured=p_loss,
-                    threshold=o_loss if np.isfinite(o_loss) else None,
+                    p_loss <= o_loss,
+                    p_loss,
+                    o_loss if np.isfinite(o_loss) else None,
                     detail=f"original loss {o_loss!r}",
                 )
             )
-    return _finish(report, out_dir, started)
 
 
 COMMANDS = {
@@ -847,6 +779,20 @@ COMMANDS = {
     "train": cmd_train,
     "compare": cmd_compare,
 }
+
+
+def _run(command: str, config: dict) -> RunReport:
+    """Run one subcommand into its out_dir and write its report.json."""
+    started = time.monotonic()
+    out_dir = Path(config["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = RunReport(command, config)
+    COMMANDS[command](config, report, out_dir)
+    report.wall_time_seconds = time.monotonic() - started
+    # report.json lists itself, so its name goes in before the report is serialized.
+    report.artifacts.append("report.json")
+    _write_json(out_dir, "report.json", report.to_json_dict())
+    return report
 
 
 def main(argv=None) -> int:
@@ -870,7 +816,7 @@ def main(argv=None) -> int:
             return 2
     try:
         config = resolve_config(args.command, raw, seed=args.seed, out=args.out)
-        report = COMMANDS[args.command](config)
+        report = _run(args.command, config)
     except (ConfigError, NldError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
