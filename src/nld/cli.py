@@ -33,7 +33,7 @@ import jsonschema
 import numpy as np
 
 from . import dynamics, kernels, net
-from .errors import BlowUpError, NldError
+from .errors import BlowUpError, InsufficientDataError, NldError
 from .fields import FeatureField, load_matrix_csv
 from .rng import SplitMix64, derive_seed
 from .spectrum import spectrum_report
@@ -499,27 +499,33 @@ def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
     min_factor = float(np.min(1.0 + w * (vals - 1.0)))
     if 0.0 < factor < 1.0 and min_factor > 0.0:
         prediction = -np.log(factor)
-        fit = dynamics.estimate_decay_rate(traj)
-        report.checks.append(
-            _check(
-                "decay_rate_vs_gap",
-                fit.lambda_hat >= prediction - 1e-6,
-                fit.lambda_hat,
-                prediction,
-                detail=f"r_squared {fit.r_squared:.6f}",
+        try:
+            fit = dynamics.estimate_decay_rate(traj)
+            Zeig = FeatureField(np.tile(vecs[:, 1][:, None], (1, d)))
+            eig_traj = dynamics.evolve(Zeig, dynamics.ProposedStepper(K, w), steps)
+            eig_fit = dynamics.estimate_decay_rate(eig_traj)
+        except InsufficientDataError as err:
+            # The decay reached roundoff within a few steps: no rate to fit.
+            for name in ("decay_rate_vs_gap", "eigenvector_rate_equality"):
+                report.checks.append(CheckResult(name, "soft", detail=str(err)))
+        else:
+            report.checks.append(
+                _check(
+                    "decay_rate_vs_gap",
+                    fit.lambda_hat >= prediction - 1e-6,
+                    fit.lambda_hat,
+                    prediction,
+                    detail=f"r_squared {fit.r_squared:.6f}",
+                )
             )
-        )
-        Zeig = FeatureField(np.tile(vecs[:, 1][:, None], (1, d)))
-        eig_traj = dynamics.evolve(Zeig, dynamics.ProposedStepper(K, w), steps)
-        eig_fit = dynamics.estimate_decay_rate(eig_traj)
-        report.checks.append(
-            _check(
-                "eigenvector_rate_equality",
-                abs(eig_fit.lambda_hat - prediction) <= 1e-6,
-                eig_fit.lambda_hat,
-                prediction,
+            report.checks.append(
+                _check(
+                    "eigenvector_rate_equality",
+                    abs(eig_fit.lambda_hat - prediction) <= 1e-6,
+                    eig_fit.lambda_hat,
+                    prediction,
+                )
             )
-        )
     else:
         report.checks.append(
             CheckResult(

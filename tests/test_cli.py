@@ -474,6 +474,22 @@ def test_verify_theory_checks_are_pinned(tmp_path, case):
                 assert check[key] == pytest.approx(value, rel=1e-12, abs=1e-14), (name, key)
 
 
+def test_verify_theory_decay_too_fast_to_fit_is_soft(tmp_path):
+    """A weight near 1 on a near-constant kernel reaches roundoff in two steps."""
+    code, out = run_cli(
+        tmp_path,
+        "verify-theory",
+        {"num_positions": 8, "steps": 20, "weight": 0.9999999, "bandwidth": 1e6},
+    )
+    assert code == 0
+    report = read_report(out)
+    assert report["overall"] == "pass"
+    for name in ("decay_rate_vs_gap", "eigenvector_rate_equality"):
+        check = check_by_name(report, name)
+        assert check["status"] == "soft"
+        assert check["detail"] == "decay fit needs at least 3 points above 1e-12, found 2"
+
+
 # ---------------------------------------------------------------------------
 # evolve.
 # ---------------------------------------------------------------------------
