@@ -50,6 +50,9 @@ FLAG_TOL = 1e-12
 # Row sums at or below this magnitude cannot be normalized against.
 DEGENERATE_ROW_SUM = 1e-300
 
+# Sinkhorn gives up after this many scaling iterations.
+SINKHORN_MAX_ITERS = 10000
+
 
 @dataclass(frozen=True, eq=False)
 class AffinityKernelSpec:
@@ -388,9 +391,7 @@ def normalize_rows(K: KernelMatrix) -> KernelMatrix:
     return KernelMatrix.from_entries(P[0])
 
 
-def sinkhorn_normalize(
-    K: KernelMatrix, max_iters: int = 10000, tol: float = 1e-10
-) -> KernelMatrix:
+def sinkhorn_normalize(K: KernelMatrix, tol: float = 1e-10) -> KernelMatrix:
     """Symmetric rescaling D K D toward the doubly stochastic limit.
 
     Requires a symmetric, entrywise nonnegative kernel with strictly
@@ -410,7 +411,7 @@ def sinkhorn_normalize(
     resid = np.inf
     reached_tol = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, SINKHORN_MAX_ITERS + 1):
         r = A @ d
         bad = ~(r > DEGENERATE_ROW_SUM)
         if bad.any():
@@ -436,7 +437,6 @@ def symmetric_stochastic_kernel(
     field: FeatureField,
     bandwidth: Optional[float] = None,
     tol: float = 1e-13,
-    max_iters: int = 10000,
 ) -> KernelMatrix:
     """rbf kernel balanced to a symmetric doubly stochastic matrix.
 
@@ -445,4 +445,4 @@ def symmetric_stochastic_kernel(
     leaves the stochastic flags verified rather than approximate.
     """
     raw = build_kernel_matrix(field, AffinityKernelSpec.rbf(bandwidth))
-    return sinkhorn_normalize(raw, max_iters=max_iters, tol=tol)
+    return sinkhorn_normalize(raw, tol=tol)

@@ -660,14 +660,14 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
     )
 
 
-def extract_stage_spectra(history: TrainingHistory, top_k: int = 32) -> list:
+def extract_stage_spectra(history: TrainingHistory) -> list:
     """One SpectrumReport per sub-block weight, in stage order."""
     reports = []
     for sw in history.final_stage_weights:
         for W in sw.per_step:
             if not isinstance(W, np.ndarray):
                 raise ValueError("scalar stage weights have no spectrum to report")
-            reports.append(spectrum_report(W, top_k=top_k))
+            reports.append(spectrum_report(W))
     return reports
 
 

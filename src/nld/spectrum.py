@@ -28,6 +28,11 @@ UNSTABLE_THRESHOLD = 1e-3
 
 DEFAULT_TOP_K = 32
 
+# Jacobi stops once every off-diagonal entry is within this of ||A||_F,
+# and gives up after this many sweeps.
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
 
 def symmetrize(W: np.ndarray) -> np.ndarray:
     """(W + W.T)/2, the part of W the quadratic form actually sees."""
@@ -55,11 +60,11 @@ def _round_robin_shift(m: int) -> np.ndarray:
     return sigma
 
 
-def eig_symmetric(A: np.ndarray, tol: float = 1e-12):
+def eig_symmetric(A: np.ndarray):
     """Eigen-decomposition of a real symmetric matrix by round-robin Jacobi.
 
     Sweeps of plane rotations annihilate off-diagonal entries until the
-    largest one falls below tol * ||A||_F.  Each rotation in the (p, q)
+    largest one falls below JACOBI_TOL * ||A||_F.  Each rotation in the (p, q)
     plane solves a 2x2 subproblem exactly; the accumulated rotations give
     orthonormal eigenvectors.
 
@@ -94,7 +99,7 @@ def eig_symmetric(A: np.ndarray, tol: float = 1e-12):
         vals = np.diag(sym).copy()
         order = np.argsort(-vals, kind="stable")
         return vals[order], np.eye(n)[:, order]
-    thresh = tol * fnorm
+    thresh = JACOBI_TOL * fnorm
 
     m = n + n % 2
     h = m // 2
@@ -108,7 +113,7 @@ def eig_symmetric(A: np.ndarray, tol: float = 1e-12):
 
     converged = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _sweep in range(100):
+        for _sweep in range(JACOBI_MAX_SWEEPS):
             off = np.abs(a - np.diag(np.diag(a)))
             if float(off.max()) <= thresh:
                 converged = True
@@ -155,7 +160,7 @@ def eig_symmetric(A: np.ndarray, tol: float = 1e-12):
         off = np.abs(a - np.diag(np.diag(a)))
         resid = float(off.max())
         if resid > thresh:
-            raise ConvergenceError("jacobi sweeps exhausted", resid, 100)
+            raise ConvergenceError("jacobi sweeps exhausted", resid, JACOBI_MAX_SWEEPS)
 
     # A whole number of sweeps leaves every index in its own slot.
     vals = np.diag(a)[:n].copy()
@@ -202,29 +207,24 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def classify_spectrum(
-    eigenvalues,
-    zero_tol: float = ZERO_TOL,
-    unstable_threshold: float = UNSTABLE_THRESHOLD,
-) -> str:
-    """Apply the damping classification rule to a kept eigenvalue list."""
-    vals = np.asarray(eigenvalues, dtype=np.float64)
-    num_pos = int(np.sum(vals > zero_tol))
-    num_neg = int(np.sum(vals < -zero_tol))
+def _classify(vals: np.ndarray):
+    """(number positive, number negative, classification) of kept eigenvalues."""
+    num_pos = int(np.sum(vals > ZERO_TOL))
+    num_neg = int(np.sum(vals < -ZERO_TOL))
     largest = vals[int(np.argmax(np.abs(vals)))] if vals.size else 0.0
-    if largest < -zero_tol and num_neg > num_pos:
-        return "damping_dominant"
-    if int(np.sum(vals > unstable_threshold)) > num_neg:
-        return "unstable"
-    return "mixed"
+    if largest < -ZERO_TOL and num_neg > num_pos:
+        return num_pos, num_neg, "damping_dominant"
+    if int(np.sum(vals > UNSTABLE_THRESHOLD)) > num_neg:
+        return num_pos, num_neg, "unstable"
+    return num_pos, num_neg, "mixed"
 
 
-def spectrum_report(
-    W: np.ndarray,
-    top_k: int = DEFAULT_TOP_K,
-    zero_tol: float = ZERO_TOL,
-    unstable_threshold: float = UNSTABLE_THRESHOLD,
-) -> SpectrumReport:
+def classify_spectrum(eigenvalues) -> str:
+    """Apply the damping classification rule to a kept eigenvalue list."""
+    return _classify(np.asarray(eigenvalues, dtype=np.float64))[2]
+
+
+def spectrum_report(W: np.ndarray, top_k: int = DEFAULT_TOP_K) -> SpectrumReport:
     """Symmetrize, decompose, keep the top_k eigenvalues by value, classify."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
@@ -232,8 +232,7 @@ def spectrum_report(
     vals, _vecs = eig_symmetric(S)
     k = min(int(top_k), len(vals))
     kept = vals[:k]
-    num_pos = int(np.sum(kept > zero_tol))
-    num_neg = int(np.sum(kept < -zero_tol))
+    num_pos, num_neg, classification = _classify(kept)
     max_abs = float(np.max(np.abs(kept))) if kept.size else 0.0
     return SpectrumReport(
         eigenvalues=tuple(float(v) for v in kept),
@@ -241,5 +240,5 @@ def spectrum_report(
         num_negative=num_neg,
         max_abs=max_abs,
         top_k=k,
-        classification=classify_spectrum(kept, zero_tol, unstable_threshold),
+        classification=classification,
     )
