@@ -16,8 +16,10 @@ dropped.  The script prints how many artifacts it compared and each path
 that differs or exists on one side only, and exits 1 on any difference.
 A differing ``checkpoint.bin`` also gets its largest absolute parameter
 difference, a differing CSV its first differing line and column with both
-cells, and a differing history CSV also the epochs trained and the final
-train loss on each side.  It only imports from ``benchmarks/``; it writes
+cells, a differing history CSV also the epochs trained and the final
+train loss on each side, and a differing ``report.json`` each field of
+each check that differs and each other top-level key that differs, with
+both values.  It only imports from ``benchmarks/``; it writes
 nothing there.
 """
 
@@ -123,8 +125,31 @@ def _first_csv_difference(a: Path, b: Path) -> str:
     return f"the common lines are equal; parent {len(rows_a)} lines, change {len(rows_b)} lines"
 
 
+def _report_differences(a: Path, b: Path) -> str:
+    """Each differing check field and top-level key of two report.json files."""
+    doc_a, doc_b = (json.loads(_normalized(p)) for p in (a, b))
+    checks_a, checks_b = ({c["name"]: c for c in doc.pop("checks", [])} for doc in (doc_a, doc_b))
+    found = []
+    if [n for n in checks_a if n in checks_b] != [n for n in checks_b if n in checks_a]:
+        found.append("checks in a different order")
+    for name in list(checks_a) + [n for n in checks_b if n not in checks_a]:
+        if name not in checks_a or name not in checks_b:
+            found.append(f"check {name} only in the {'parent' if name in checks_a else 'change'}")
+            continue
+        ca, cb = checks_a[name], checks_b[name]
+        for key in sorted(set(ca) | set(cb)):
+            if ca.get(key) != cb.get(key):
+                found.append(f"check {name} {key}: parent {ca.get(key)!r}, change {cb.get(key)!r}")
+    for key in sorted(set(doc_a) | set(doc_b)):
+        if doc_a.get(key) != doc_b.get(key):
+            found.append(f"{key}: parent {doc_a.get(key)!r}, change {doc_b.get(key)!r}")
+    return "; ".join(found)
+
+
 def movement(a: Path, b: Path) -> str:
     """How far a differing artifact moved, or "" when there is no measure for it."""
+    if a.name == "report.json":
+        return _report_differences(a, b)
     if a.name == "checkpoint.bin":
         pa, pb = (np.frombuffer(p.read_bytes(), dtype="<f8") for p in (a, b))
         if pa.shape != pb.shape:
