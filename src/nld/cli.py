@@ -538,7 +538,7 @@ def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
     m = dynamics.poincare_constant(K)
     report.checks.append(_check("poincare_positive", m > 0, m, 0.0))
     centered = Z0.values - Z0.values.mean(axis=0)
-    lhs = float(np.sum(K.entries * dynamics._pair_distances(centered)))
+    lhs = float(np.sum(K.entries * kernels._squared_distances(centered[None])[0]))
     rhs = 2.0 * m * float(np.sum(centered * centered))
     report.checks.append(_check("poincare_inequality", lhs >= rhs * (1.0 - 1e-9) - 1e-12, lhs, rhs))
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import BlowUpError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
-from .kernels import AffinityKernelSpec, KernelMatrix, _affinities, _rownorm_fwd
+from .kernels import AffinityKernelSpec, KernelMatrix, _affinities, _rownorm_fwd, _squared_distances
 
 # Evolution aborts once any entry magnitude passes this.
 BLOWUP_LIMIT = 1e12
@@ -430,13 +430,7 @@ def variance_dissipation(K: KernelMatrix, Z: FeatureField) -> float:
         raise ValueError("the energy identity needs a symmetric doubly stochastic kernel")
     v = Z.values - Z.values.mean(axis=0)
     K2 = K.entries @ K.entries
-    return float(np.sum(K2 * _pair_distances(v)) / (2.0 * Z.num_positions))
-
-
-def _pair_distances(v: np.ndarray) -> np.ndarray:
-    """||v_i - v_j||^2 for every pair of rows, from the Gram identity."""
-    sq = np.sum(v * v, axis=1)
-    return sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
+    return float(np.sum(K2 * _squared_distances(v[None])[0]) / (2.0 * Z.num_positions))
 
 
 @dataclass(frozen=True)
