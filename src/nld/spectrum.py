@@ -28,7 +28,7 @@ UNSTABLE_THRESHOLD = 1e-3
 
 DEFAULT_TOP_K = 32
 
-# Jacobi stops once every off-diagonal entry is within this of ||A||_F,
+# Jacobi stops once no off-diagonal entry exceeds this times ||A||_F,
 # and gives up after this many sweeps.
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
