@@ -131,11 +131,12 @@ def _stable_weight_check(name: str, passed, stable: bool, measured, threshold, d
 
 
 def _write_text(out_dir: Path, name: str, text: str) -> str:
-    (out_dir / name).write_text(text, newline="\n")
-    return name
+    return _write_bytes(out_dir, name, text.encode())
 
 
 def _write_bytes(out_dir: Path, name: str, blob: bytes) -> str:
+    # out_dir is made on the first write, so a run that fails first leaves none.
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_bytes(blob)
     return name
 
@@ -556,6 +557,8 @@ def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
         Z0 = FeatureField(np.array(init["values"], dtype=np.float64))
         if Z0.num_positions != M or Z0.num_channels != d:
             raise ConfigError("explicit initial state does not match num_positions/num_channels")
+    elif "values" in init:
+        raise ConfigError(f"initial values need kind 'explicit', not {init['kind']!r}")
     else:
         Z0 = _seeded_field(seed, "state", M, d, init["kind"], init["scale"])
 
@@ -670,9 +673,7 @@ def _hyper_from(doc: dict) -> net.Hyper:
 
 def _stage_spectra(history) -> list:
     """The trained stage-weight spectra; none for a diverged or stageless run."""
-    if history.diverged or not history.final_stage_weights:
-        return []
-    return net.extract_stage_spectra(history)
+    return [] if history.diverged else net.extract_stage_spectra(history)
 
 
 def _spectra_checks(report: RunReport, reports: list, config_formulation: str, prefix=""):
@@ -714,7 +715,8 @@ def cmd_train(config: dict, report: RunReport, out_dir: Path) -> None:
             CheckResult("final_train_acc", "pass", measured=last.train_acc)
         )
     spectra = _stage_spectra(history)
-    _spectra_checks(report, spectra, net_config.stages[0].formulation)
+    if spectra:  # a stageless net has none, and no formulation
+        _spectra_checks(report, spectra, net_config.stages[0].formulation)
 
     report.artifacts.append(_write_text(out_dir, "history.csv", history.to_csv()))
     blob, sidecar = net.checkpoint_bytes(history.final_params)
@@ -791,7 +793,6 @@ def _run(command: str, config: dict) -> RunReport:
     """Run one subcommand into its out_dir and write its report.json."""
     started = time.monotonic()
     out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport(command, config)
     COMMANDS[command](config, report, out_dir)
     report.wall_time_seconds = time.monotonic() - started

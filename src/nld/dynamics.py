@@ -10,38 +10,36 @@ Three operators act on a feature field Z:
 * the Markov operator Z -> K Z for nonnegative row-stochastic K.
 
 Application is matrix-free O(M^2 d).  Three steppers share one evolve
-loop, one operator each, and each update has one implementation, a
-function of the bare (M, d) state array:
+loop, one operator each.  Each stepper's ``step`` is the one
+implementation of its update, a function of the bare (M, d) state array,
+and the weights w are scalars, one per step or one for all:
 
-* proposed: Z <- Z + W * (K Z - Z) with the kernel K fixed for the whole
+* proposed: Z <- Z + w (K Z - Z) with the kernel K fixed for the whole
   run (it was computed from the stage input once); the explicit Euler step
   of dZ/dt = (K - I) Z.
-* original: Z <- Z + W * rownorm(omega(Z)) Z, kernel rebuilt on the
+* original: Z <- Z + w rownorm(omega(Z)) Z, kernel rebuilt on the
   current state every step, from the same affinity entries
   ``build_kernel_matrix`` wraps but without its structural flags.
   Nonlinear, and the source of the instability this package exists to
   demonstrate.
 * markov:   Z <- K Z, the plain jump-process evolution.
 
-``step_proposed`` and ``step_original`` wrap the first two for a
-:class:`FeatureField`.  ``evolve`` steps the array itself: it checks a
-fixed kernel against the field once per run, checks each new state's
-largest magnitude against BLOWUP_LIMIT, and computes the per-step
-statistics for blocks of up to STATS_BLOCK_BYTES of states at once,
-bitwise as state by state.  It builds a :class:`FeatureField` per state only when
-asked to record the states.
+``evolve`` checks a fixed kernel against the field once per run, checks
+each new state's largest magnitude against BLOWUP_LIMIT, and computes the
+per-step statistics for blocks of up to STATS_BLOCK_BYTES of states at
+once, bitwise as state by state.  It keeps the statistics, not the states.
 
 On top of the trajectories sit the verification routines: mean
 preservation, variance decay (with the one-step energy identity), the
-exponential decay-rate fit against the spectral gap, the discrete
-Poincare constant, and the original block's damping-to-zero check.
+exponential decay-rate fit against the spectral gap and the discrete
+Poincare constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -55,12 +53,16 @@ BLOWUP_LIMIT = 1e12
 # Distances below this are floating-point noise; the decay fit skips them.
 FIT_FLOOR = 1e-12
 
-WeightLike = Union[float, int, np.ndarray]
+# The largest drift of a channel mean that still counts as preserved.
+MEAN_TOL = 1e-10
+
+# The largest one-step variance increase that still counts as decay.
+VARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class StageWeights:
-    """Per-sub-step weights: scalars (theory runs) or d x d matrices (nets).
+    """Per-sub-step scalar weights.
 
     A single entry broadcasts to any number of steps; otherwise the list
     must cover every step taken.
@@ -73,18 +75,12 @@ class StageWeights:
             raise ValueError("weights need at least one entry")
         norm = []
         for w in self.per_step:
-            if isinstance(w, (int, float)):
-                w = float(w)
-                if not np.isfinite(w):
-                    raise ValueError("scalar weight must be finite")
-                norm.append(w)
-            else:
-                W = np.asarray(w, dtype=np.float64)
-                if W.ndim != 2 or W.shape[0] != W.shape[1]:
-                    raise ValueError(f"matrix weight must be square, got shape {W.shape}")
-                if not np.all(np.isfinite(W)):
-                    raise ValueError("matrix weight must be finite")
-                norm.append(W)
+            if not isinstance(w, (int, float)):
+                raise ValueError(f"a weight must be a number, got {type(w).__name__}")
+            w = float(w)
+            if not np.isfinite(w):
+                raise ValueError("scalar weight must be finite")
+            norm.append(w)
         object.__setattr__(self, "per_step", tuple(norm))
 
     @classmethod
@@ -123,38 +119,6 @@ def apply_diffusion(K: KernelMatrix, Z: FeatureField) -> FeatureField:
     return FeatureField(K.entries @ Z.values - Z.values)
 
 
-def _weighted(w: WeightLike, update: np.ndarray) -> np.ndarray:
-    """W * update for a scalar w or a d x d matrix acting on each position's
-    channel vector from the left."""
-    if isinstance(w, (int, float)):
-        return float(w) * update
-    W = np.asarray(w, dtype=np.float64)
-    d = update.shape[1]
-    if W.shape != (d, d):
-        raise ValueError(f"weight must be a scalar or a {d}x{d} matrix, got shape {W.shape}")
-    return update @ W.T
-
-
-def _proposed_step(Z: np.ndarray, K: np.ndarray, W: WeightLike) -> np.ndarray:
-    return Z + _weighted(W, K @ Z - Z)
-
-
-def _original_step(Z: np.ndarray, spec: AffinityKernelSpec, W: WeightLike) -> np.ndarray:
-    P, _ = _rownorm_fwd(_affinities(Z, spec)[None])
-    return Z + _weighted(W, P[0] @ Z)
-
-
-def step_proposed(Z: FeatureField, K: KernelMatrix, W: WeightLike) -> FeatureField:
-    """One proposed sub-step: Z + W * (K Z - Z), under the fixed K."""
-    _check_diffusion(K, Z.num_positions)
-    return FeatureField(_proposed_step(Z.values, K.entries, W))
-
-
-def step_original(Z: FeatureField, spec: AffinityKernelSpec, W: WeightLike) -> FeatureField:
-    """One original block: Z + W * rownorm(omega(Z)) Z, the kernel built on Z."""
-    return FeatureField(_original_step(Z.values, spec, W))
-
-
 @dataclass(frozen=True)
 class StepStats:
     mean: tuple
@@ -189,24 +153,16 @@ def _stats(values: np.ndarray) -> StepStats:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Stats (and optionally states) of an evolution; immutable."""
+    """Stats of an evolution; immutable."""
 
     steps: int
     per_step_stats: tuple
-    states: Optional[tuple]
     stepper: str
     kernel_flags: Optional[dict] = dc_field(default=None)
 
     def __post_init__(self):
         if len(self.per_step_stats) != self.steps + 1:
             raise ValueError("stats must cover the initial state plus every step")
-
-    def growth_factors(self) -> tuple:
-        """l2 ratio per step; nan where the previous norm is zero."""
-        out = []
-        for prev, cur in zip(self.per_step_stats, self.per_step_stats[1:]):
-            out.append(cur.l2_norm / prev.l2_norm if prev.l2_norm > 0.0 else float("nan"))
-        return tuple(out)
 
     def to_csv(self) -> str:
         d = len(self.per_step_stats[0].mean)
@@ -234,7 +190,7 @@ class ProposedStepper:
         self.weights = StageWeights.coerce(weights)
 
     def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
-        return _proposed_step(Z, self.kernel.entries, self.weights.at(n, total))
+        return Z + self.weights.at(n, total) * (self.kernel.entries @ Z - Z)
 
 
 class OriginalStepper:
@@ -247,7 +203,8 @@ class OriginalStepper:
         self.weights = StageWeights.coerce(weights)
 
     def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
-        return _original_step(Z, self.spec, self.weights.at(n, total))
+        P, _ = _rownorm_fwd(_affinities(Z, self.spec)[None])
+        return Z + self.weights.at(n, total) * (P[0] @ Z)
 
 
 class MarkovStepper:
@@ -271,19 +228,13 @@ class MarkovStepper:
 STATS_BLOCK_BYTES = 1 << 19
 
 
-def evolve(
-    Z0: FeatureField,
-    stepper,
-    num_steps: int,
-    record_states: bool = False,
-) -> TrajectoryRecord:
+def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     """Run ``num_steps`` of the stepper, recording stats at every state.
 
     A non-finite entry or one beyond BLOWUP_LIMIT aborts with
     :class:`BlowUpError` (a NaN is reported as max abs inf); the partial
     record (up to the last healthy state) rides along on the exception.
-    States are stepped as bare arrays and their stats computed in blocks;
-    a :class:`FeatureField` is built per state only for ``record_states``.
+    States are stepped as bare arrays and their stats computed in blocks.
     """
     if num_steps < 0:
         raise ValueError("num_steps must be nonnegative")
@@ -298,14 +249,12 @@ def evolve(
     block[0] = Z
     filled = 1
     stats = []
-    states = [Z0] if record_states else None
 
     def record(steps: int) -> TrajectoryRecord:
         stats.extend(_block_stats(block[:filled]))
         return TrajectoryRecord(
             steps=steps,
             per_step_stats=tuple(stats),
-            states=tuple(states) if states is not None else None,
             stepper=stepper.name,
             kernel_flags=flags,
         )
@@ -328,8 +277,6 @@ def evolve(
                 filled = 0
             block[filled] = Z
             filled += 1
-            if states is not None:
-                states.append(FeatureField(Z))
     return record(num_steps)
 
 
@@ -376,7 +323,7 @@ class MeanPreservationReport:
     max_deviation: float
     passed: Optional[bool]
     assumption_violated: bool
-    tolerance: float = 1e-10
+    tolerance: float = MEAN_TOL
 
 
 def verify_mean_preservation(traj: TrajectoryRecord) -> MeanPreservationReport:
@@ -390,7 +337,7 @@ def verify_mean_preservation(traj: TrajectoryRecord) -> MeanPreservationReport:
     dev = max(float(np.max(np.abs(np.asarray(s.mean) - m0))) for s in stats)
     if not _assumes_symmetric_doubly(traj):
         return MeanPreservationReport(dev, None, True)
-    return MeanPreservationReport(dev, dev <= 1e-10, False)
+    return MeanPreservationReport(dev, dev <= MEAN_TOL, False)
 
 
 @dataclass(frozen=True)
@@ -399,11 +346,11 @@ class VarianceDecayReport:
     passed: Optional[bool]
     assumption_violated: bool
     first_violation_step: Optional[int]
-    tolerance: float = 1e-12
+    tolerance: float = VARIANCE_TOL
 
 
 def verify_variance_decay(traj: TrajectoryRecord) -> VarianceDecayReport:
-    """Checks var(Z^{n+1}) <= var(Z^n) + 1e-12 at every step."""
+    """Checks var(Z^{n+1}) <= var(Z^n) + VARIANCE_TOL at every step."""
     stats = traj.per_step_stats
     max_inc = 0.0
     first = None
@@ -411,7 +358,7 @@ def verify_variance_decay(traj: TrajectoryRecord) -> VarianceDecayReport:
         inc = stats[n + 1].variance - stats[n].variance
         if inc > max_inc:
             max_inc = inc
-        if first is None and inc > 1e-12:
+        if first is None and inc > VARIANCE_TOL:
             first = n
     if not _assumes_symmetric_doubly(traj):
         return VarianceDecayReport(max_inc, None, True, first)
@@ -481,51 +428,3 @@ def poincare_constant(K: KernelMatrix) -> float:
     if m <= 1e-10:
         return 0.0
     return m
-
-
-@dataclass(frozen=True)
-class SteadyStateReport:
-    status: str  # passed | not_converged | blow_up
-    final_inf_norm: float
-    steps_run: int
-    decay_curve: tuple
-    tolerance: float
-
-
-def steady_state_check_original(
-    spec: AffinityKernelSpec,
-    W: float,
-    Z0: FeatureField,
-    num_steps: int,
-    tol: float,
-) -> SteadyStateReport:
-    """Drive the original block and test whether it damps to Z = 0.
-
-    Blow-up (typically a wrong-sign weight) is reported as its own status
-    rather than lumped in with slow convergence.
-    """
-    if not isinstance(W, (int, float)):
-        raise ValueError("the steady-state check takes a scalar weight")
-    stepper = OriginalStepper(spec, float(W))
-    try:
-        traj = evolve(Z0, stepper, num_steps, record_states=True)
-    except BlowUpError as err:
-        partial = err.record
-        curve = tuple(float(np.max(np.abs(s.values))) for s in partial.states)
-        return SteadyStateReport(
-            status="blow_up",
-            final_inf_norm=float("inf"),
-            steps_run=err.step,
-            decay_curve=curve,
-            tolerance=float(tol),
-        )
-    curve = tuple(float(np.max(np.abs(s.values))) for s in traj.states)
-    final = curve[-1]
-    status = "passed" if final <= tol else "not_converged"
-    return SteadyStateReport(
-        status=status,
-        final_inf_norm=final,
-        steps_run=traj.steps,
-        decay_curve=curve,
-        tolerance=float(tol),
-    )

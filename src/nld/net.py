@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import StageWeights
 from .errors import DegenerateRowError, DivergenceError
 from .fields import FeatureField
 from .kernels import (
@@ -51,7 +50,7 @@ from .kernels import (
     _rownorm_fwd,
 )
 from .rng import SplitMix64, _box_muller, _fisher_yates, derive_seed
-from .spectrum import SpectrumReport, spectrum_report
+from .spectrum import spectrum_report
 
 PROPOSED = "proposed"
 ORIGINAL = "original"
@@ -530,7 +529,7 @@ class EpochStats:
 
 @dataclass(frozen=True, eq=False)
 class TrainingHistory:
-    """Per-epoch metrics plus the trained stage weights for spectra.
+    """Per-epoch metrics plus the trained parameters, in checkpoint order.
 
     ``divergence`` says where and why a diverged run stopped, for example
     ``epoch 76, batch 3: non-finite activations after stage 0`` (epochs and
@@ -539,7 +538,6 @@ class TrainingHistory:
 
     per_epoch: tuple
     diverged: bool
-    final_stage_weights: tuple  # one StageWeights per configured stage
     final_params: dict = dc_field(repr=False, default_factory=dict)
     divergence: Optional[str] = None
 
@@ -647,14 +645,9 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
         if divergence is not None:
             break
 
-    stage_weights = tuple(
-        StageWeights(tuple(params[name] for name in _stage_param_names(config, s)))
-        for s in range(len(config.stages))
-    )
     return TrainingHistory(
         per_epoch=tuple(history),
         diverged=divergence is not None,
-        final_stage_weights=stage_weights,
         final_params={k: v.copy() for k, v in params.items()},
         divergence=divergence,
     )
@@ -662,13 +655,9 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
 
 def extract_stage_spectra(history: TrainingHistory) -> list:
     """One SpectrumReport per sub-block weight, in stage order."""
-    reports = []
-    for sw in history.final_stage_weights:
-        for W in sw.per_step:
-            if not isinstance(W, np.ndarray):
-                raise ValueError("scalar stage weights have no spectrum to report")
-            reports.append(spectrum_report(W))
-    return reports
+    return [
+        spectrum_report(W) for name, W in history.final_params.items() if name.startswith("stage")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -32,3 +32,36 @@ def make_field(seed, M, d):
 def make_balanced_kernel(seed, M, d=3):
     """Symmetric doubly stochastic kernel on a random feature field."""
     return nld.symmetric_stochastic_kernel(make_field(seed, M, d))
+
+
+def step_proposed(Z, K, w):
+    """One proposed sub-step of the array Z under the fixed K."""
+    return nld.ProposedStepper(K, w).step(Z, 0, 1)
+
+
+def step_original(Z, spec, w):
+    """One original block on the array Z, the kernel built on Z."""
+    return nld.OriginalStepper(spec, w).step(Z, 0, 1)
+
+
+def step_states(stepper, Z0, num_steps):
+    """The bare arrays Z0, Z1, ..., Z_num_steps that ``stepper.step`` visits.
+
+    These are the states ``evolve`` steps through, in the same calls, so
+    they are bitwise the ones its statistics describe.
+    """
+    states = [Z0.values]
+    for n in range(num_steps):
+        states.append(stepper.step(states[-1], n, num_steps))
+    return states
+
+
+def sup_norms(stepper, Z0, num_steps):
+    """The largest entry magnitude of each state ``stepper.step`` visits."""
+    return [float(np.max(np.abs(Z))) for Z in step_states(stepper, Z0, num_steps)]
+
+
+def l2_ratios(traj):
+    """Each step's l2 norm over the previous one's."""
+    stats = traj.per_step_stats
+    return [cur.l2_norm / prev.l2_norm for prev, cur in zip(stats, stats[1:])]

@@ -42,8 +42,10 @@ from nld import (
     verify_mean_preservation,
 )
 from nld.cli import main
-from nld.dynamics import steady_state_check_original
+from nld.dynamics import BLOWUP_LIMIT, OriginalStepper
 from nld.fields import save_matrix_csv
+
+from conftest import l2_ratios, step_states, sup_norms
 
 
 def test_operator_identity_battery():
@@ -87,10 +89,10 @@ def test_markov_residual_equivalence_battery():
         d = 1 + int(rng.randint(3))
         K = symmetric_stochastic_kernel(FeatureField(rng.normals((M, d))))
         Z0 = FeatureField(rng.normals((M, d)))
-        markov = evolve(Z0, MarkovStepper(K), 100, record_states=True)
-        residual = evolve(Z0, ProposedStepper(K, 1.0), 100, record_states=True)
-        for a, b in zip(markov.states, residual.states):
-            worst = max(worst, float(np.max(np.abs(a.values - b.values))))
+        markov = step_states(MarkovStepper(K), Z0, 100)
+        residual = step_states(ProposedStepper(K, 1.0), Z0, 100)
+        for a, b in zip(markov, residual):
+            worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst <= 1e-14
     assert time.monotonic() - start < 2.0
 
@@ -153,7 +155,7 @@ def test_exchange_kernel_stability_dichotomy(exchange_kernel, two_state_field):
     with pytest.raises(BlowUpError) as info:
         evolve(two_state_field, ProposedStepper(exchange_kernel, 1.5), 50)
     assert info.value.step < 50
-    growth = info.value.record.growth_factors()
+    growth = l2_ratios(info.value.record)
     assert max(abs(g - 2.0) for g in growth) <= 1e-9
     assert time.monotonic() - start < 1.0
 
@@ -163,17 +165,17 @@ def test_original_block_damping():
     multi-position rbf field is driven below 1e-6 sup norm within 500
     steps."""
     start = time.monotonic()
-    gaussian = AffinityKernelSpec("gaussian")
-    report = steady_state_check_original(gaussian, -0.5, FeatureField([[2.0]]), 20, 2e-6)
-    assert report.status == "passed"
-    assert report.final_inf_norm == 2.0 * 0.5**20
-    assert all(report.decay_curve[n] == 2.0 * 0.5**n for n in range(21))
+    gaussian = OriginalStepper(AffinityKernelSpec("gaussian"), -0.5)
+    curve = sup_norms(gaussian, FeatureField([[2.0]]), 20)
+    assert len(curve) == 21
+    assert curve[-1] == 2.0 * 0.5**20 and curve[-1] <= 2e-6
+    assert all(curve[n] == 2.0 * 0.5**n for n in range(21))
 
     Z0 = FeatureField(SplitMix64(derive_seed(6, "steady")).normals((6, 2)))
-    rbf = AffinityKernelSpec("rbf", bandwidth=None)
-    report = steady_state_check_original(rbf, -0.5, Z0, 500, 1e-6)
-    assert report.status == "passed"
-    assert report.final_inf_norm <= 1e-6
+    rbf = OriginalStepper(AffinityKernelSpec("rbf", bandwidth=None), -0.5)
+    curve = sup_norms(rbf, Z0, 500)
+    assert all(c <= BLOWUP_LIMIT for c in curve)  # no blow-up on the way
+    assert curve[-1] <= 1e-6
     assert time.monotonic() - start < 2.0
 
 

@@ -655,6 +655,24 @@ def test_evolve_misplaced_kernel_keys_exit_2(tmp_path, capsys, kernel, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"kernel": {"variant": "gaussian", "bandwidth": 1.0}}, "bandwidth only applies to the rbf"),
+        ({"num_positions": 4, "initial": {"kind": "explicit", "values": [[1.0], [2.0]]}}, "does not match"),
+        # Values with a seeded kind would be ignored, not used.
+        ({"initial": {"kind": "normal", "values": [[1.0]]}}, "need kind 'explicit', not 'normal'"),
+        ({"initial": {"kind": "uniform", "values": [[1.0]]}}, "need kind 'explicit', not 'uniform'"),
+    ],
+    ids=["kernel_key", "initial_shape", "values_normal", "values_uniform"],
+)
+def test_evolve_rejected_config_leaves_no_out_dir(tmp_path, capsys, config, message):
+    code, out = run_cli(tmp_path, "evolve", config)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evolve_embedded_kernel_projects_features(tmp_path):
     # theta keeps the first channel only, so the embedded kernel is the
     # rbf kernel on that channel and the second channel's values are ignored.
@@ -858,6 +876,18 @@ def test_train_extracts_stage_spectra_once(tmp_path, monkeypatch):
     assert check_by_name(report, "spectra_majority_positive")["status"] == "soft"
     assert {"spectrum_sub0.json", "spectrum_sub1.json"} <= set(report["artifacts"])
     assert len(calls) == 1
+
+
+def test_train_stageless_net_has_no_spectra(tmp_path):
+    code, out = run_cli(
+        tmp_path,
+        "train",
+        {"task": TINY_TASK, "net": {**TINY_NET, "stage": None}, "hyper": TINY_HYPER},
+    )
+    assert code == 0
+    report = read_report(out)
+    assert [c["name"] for c in report["checks"]] == ["converged", "final_train_loss", "final_train_acc"]
+    assert set(report["artifacts"]) == {"history.csv", "checkpoint.bin", "checkpoint.json", "report.json"}
 
 
 def test_train_zero_lr_history_is_flat(tmp_path):

@@ -15,7 +15,6 @@ from nld import (
     NetworkConfig,
     SplitMix64,
     StageConfig,
-    StageWeights,
     TrainingHistory,
     agreement_count,
     backward,
@@ -523,7 +522,7 @@ def per_tensor_train(config, task, hyper, seed):
         history.append(net.EpochStats(loss_sum / seen, acc_sum / seen, val_loss, val_acc))
         if diverged:
             break
-    csv = TrainingHistory(tuple(history), diverged, ()).to_csv()
+    csv = TrainingHistory(tuple(history), diverged).to_csv()
     return params, csv
 
 
@@ -575,19 +574,10 @@ def test_extract_stage_spectra_shapes():
 
 
 def test_extract_stage_spectra_zero_weights():
-    history = TrainingHistory(
-        per_epoch=(), diverged=False, final_stage_weights=(StageWeights((np.zeros((3, 3)),)),)
-    )
+    params = {"block0.W1": np.ones((3, 3)), "stage0.W0": np.zeros((3, 3)), "head.b": np.ones(2)}
+    history = TrainingHistory(per_epoch=(), diverged=False, final_params=params)
     (rep,) = extract_stage_spectra(history)
     assert rep.eigenvalues == (0.0, 0.0, 0.0)
-
-
-def test_extract_stage_spectra_rejects_scalars():
-    history = TrainingHistory(
-        per_epoch=(), diverged=False, final_stage_weights=(StageWeights((0.5,)),)
-    )
-    with pytest.raises(ValueError):
-        extract_stage_spectra(history)
 
 
 def test_checkpoint_round_trip():
@@ -812,6 +802,6 @@ def test_softmax_cross_entropy_equals_its_one_hot_definition(B, C, scale, ties, 
     assert dlogits.tobytes() == want_dlogits.tobytes()
 
     stats = net.EpochStats(loss, acc, loss, acc)
-    csv = TrainingHistory((stats,), False, ()).to_csv()
+    csv = TrainingHistory((stats,), False).to_csv()
     fields = [float(field) for field in csv.splitlines()[1].split(",")]
     assert fields[1:] == [loss, acc, loss, acc]

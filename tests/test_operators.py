@@ -1,8 +1,8 @@
 """The three operators of nld.dynamics.
 
 The diffusion operator K Z - Z (apply_diffusion), the original block's
-operator rownorm(omega(Z)) Z (the update step_original adds to Z) and the
-Markov map Z -> K Z (MarkovStepper).
+operator rownorm(omega(Z)) Z (the update OriginalStepper.step adds to Z)
+and the Markov map Z -> K Z (MarkovStepper).
 """
 
 import math
@@ -18,10 +18,9 @@ from nld import (
     KernelMatrix,
     MarkovStepper,
     apply_diffusion,
-    step_original,
 )
 
-from conftest import make_balanced_kernel, make_field
+from conftest import make_balanced_kernel, make_field, step_original
 
 
 def test_diffusion_annihilates_constants():
@@ -103,47 +102,47 @@ def test_markov_stage_equivalence_identity():
         assert np.max(np.abs(direct - apply_diffusion(K, Z).values)) <= 1e-14
 
 
-# The original operator is the update step_original adds to Z at unit
-# weight: Z + 1 * rownorm(omega(Z)) Z.
+# The original operator is the update OriginalStepper.step adds to Z at
+# unit weight: Z + 1 * rownorm(omega(Z)) Z.
 
 
 def test_apply_original_single_position():
     # One position: rownorm(omega) = [[1]], so the operator returns Z itself.
-    Z = FeatureField(np.array([[2.0, -3.0]]))
+    Z = np.array([[2.0, -3.0]])
     out = step_original(Z, AffinityKernelSpec.gaussian(), 1.0)
-    assert np.array_equal(out.values, 2.0 * Z.values)
+    assert np.array_equal(out, 2.0 * Z)
 
 
 def test_apply_original_dirac():
-    Z = make_field(7, 5, 2)
+    Z = make_field(7, 5, 2).values
     out = step_original(Z, AffinityKernelSpec.dirac_delta(), 1.0)
-    assert np.max(np.abs(out.values - 2.0 * Z.values)) <= 1e-15
+    assert np.max(np.abs(out - 2.0 * Z)) <= 1e-15
 
 
 def test_apply_original_rbf_two_positions_brute_force():
-    Z = FeatureField(np.array([[0.0], [2.0]]))
+    Z = np.array([[0.0], [2.0]])
     spec = AffinityKernelSpec.rbf(bandwidth=1.0)
     out = step_original(Z, spec, 1.0)
     a = math.exp(-2.0)
     # row-normalized kernel [[1, a], [a, 1]] / (1 + a) applied to Z
     average = np.array([[2.0 * a], [2.0]]) / (1.0 + a)
-    assert np.max(np.abs(out.values - (Z.values + average))) <= 1e-15
+    assert np.max(np.abs(out - (Z + average))) <= 1e-15
 
 
 def test_apply_original_rejects_nonpositive_row_sums():
     # dot-product affinities of (1, -1) are [[1, -1], [-1, 1]]: both rows sum to 0.
-    Z = FeatureField(np.array([[1.0], [-1.0]]))
+    Z = np.array([[1.0], [-1.0]])
     with pytest.raises(DegenerateRowError) as err:
         step_original(Z, AffinityKernelSpec.dot_product(), -0.5)
     assert err.value.row == 0
 
 
 def test_apply_original_decreases_sup_norm_one_sign():
-    Z = FeatureField(np.array([[0.5], [1.0], [2.0]]))
+    Z = np.array([[0.5], [1.0], [2.0]])
     spec = AffinityKernelSpec.rbf(bandwidth=1.0)
     # Eq-style update with full negative unit weight: Z' = Z - avg(Z)
-    out = step_original(Z, spec, -1.0).values
-    assert np.max(np.abs(out)) < np.max(np.abs(Z.values))
+    out = step_original(Z, spec, -1.0)
+    assert np.max(np.abs(out)) < np.max(np.abs(Z))
 
 
 def test_markov_matrix_accepts_and_applies():
