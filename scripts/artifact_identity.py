@@ -14,6 +14,9 @@ artifact is compared byte for byte; ``report.json`` is compared after its
 ``wall_time_seconds`` and its config's ``out_dir`` and ``input_path`` are
 dropped.  The script prints how many artifacts it compared and each path
 that differs or exists on one side only, and exits 1 on any difference.
+An op's outcome is its exit code, or the type and message of the exception
+it raised; an op whose outcome differs between the checkouts is a
+difference too.
 A differing ``checkpoint.bin`` also gets its largest absolute parameter
 difference, a differing CSV its first differing line and column with both
 cells, a differing history CSV also the epochs trained and the final
@@ -38,7 +41,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 # Runs in a fresh interpreter: argv is (checkout src dir, ops file).  It
-# prints the exit code of each op as a JSON list.
+# prints the outcome of each op as a JSON list: its exit code, or
+# "<ExceptionType>: <message>" for an op that raised.
 _RUNNER = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -46,11 +50,14 @@ import nld
 if not nld.__file__.startswith(sys.argv[1]):
     sys.exit(f"imported nld from {nld.__file__}, not from {sys.argv[1]}")
 from nld.cli import main
-codes = []
+outcomes = []
 for argv in json.loads(open(sys.argv[2]).read()):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(main(argv))
-print(json.dumps(codes))
+        try:
+            outcomes.append(main(argv))
+        except (Exception, SystemExit) as err:
+            outcomes.append(f"{type(err).__name__}: {err}")
+print(json.dumps(outcomes))
 """
 
 
@@ -183,9 +190,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="artifact-identity-") as tmp:
         work = Path(tmp)
         ops = plan_ops(args.workload, args.seed, args.passes, args.extra, work / "inputs")
-        codes = {}
+        outcomes = {}
         for side, checkout in (("parent", args.parent), ("change", args.change)):
-            codes[side] = run_ops(checkout, ops, work / side, work / f"{side}-ops.json")
+            outcomes[side] = run_ops(checkout, ops, work / side, work / f"{side}-ops.json")
         compared, differ = compare_trees(work / "parent", work / "change")
         moved = {}
         for name in differ:
@@ -196,12 +203,14 @@ def main(argv=None) -> int:
     print(f"{len(ops)} ops, {compared} artifacts compared, {len(differ)} differ")
     for name in differ:
         print(f"DIFFERS: {name}" + (f"  ({moved[name]})" if moved.get(name) else ""))
-    exit_differ = [out for (_, out), a, b in zip(ops, codes["parent"], codes["change"]) if a != b]
-    for out in exit_differ:
-        print(f"EXIT CODE DIFFERS: {out}")
-    failed = sum(1 for c in codes["change"] if c != 0)
+    exit_differ = [
+        (out, a, b) for (_, out), a, b in zip(ops, outcomes["parent"], outcomes["change"]) if a != b
+    ]
+    for out, a, b in exit_differ:
+        print(f"EXIT CODE DIFFERS: {out}  (parent {a!r}, change {b!r})")
+    failed = sum(1 for c in outcomes["change"] if c != 0)
     if failed:
-        print(f"note: {failed} ops exited nonzero on the change side")
+        print(f"note: {failed} ops exited nonzero or raised on the change side")
     return 1 if differ or exit_differ else 0
 
 

@@ -36,7 +36,7 @@ from . import dynamics, kernels, net
 from .errors import BlowUpError, InsufficientDataError, NldError
 from .fields import FeatureField, load_matrix_csv
 from .rng import SplitMix64, derive_seed
-from .spectrum import spectrum_report
+from .spectrum import DEFAULT_TOP_K, spectrum_report
 
 DEFAULT_OUT = "nld-out"
 
@@ -191,7 +191,7 @@ _TASK_SCHEMA = _object(
 _TRUNK_PROPS = {
     "trunk_blocks": {"type": "integer", "minimum": 1, "default": 3},
     "hidden_channels": {"type": "integer", "minimum": 1, "default": 32},
-    "block_gain": {"type": "number", "default": 1.0},
+    "block_gain": {"type": "number", "default": net.NetworkConfig.block_gain},
 }
 
 # Where the nonlocal stage sits in the trunk and which affinity it uses.
@@ -230,7 +230,7 @@ CONFIG_SCHEMAS = {
             "steps": {"type": "integer", "minimum": 3, "default": 120},
             "weight": {"type": "number", "default": 0.5},
             "bandwidth": {"type": ["number", "null"], "default": None},
-            "sinkhorn_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-13},
+            "sinkhorn_tol": {"type": "number", "exclusiveMinimum": 0, "default": kernels.SINKHORN_TOL},
         }
     ),
     "evolve": _object(
@@ -267,7 +267,7 @@ CONFIG_SCHEMAS = {
             "input_path": {"type": "string"},
             "input_kind": {"enum": ["matrix_csv", "checkpoint"], "default": "matrix_csv"},
             "sidecar_path": {"type": ["string", "null"], "default": None},
-            "top_k": {"type": "integer", "minimum": 1, "default": 32},
+            "top_k": {"type": "integer", "minimum": 1, "default": DEFAULT_TOP_K},
         },
         required=["input_path"],
     ),
@@ -300,6 +300,7 @@ CONFIG_SCHEMAS = {
             "variants": {
                 "type": "array",
                 "minItems": 1,
+                "uniqueItems": True,
                 "items": _object(
                     {"formulation": _FORMULATION, "sub_blocks": _SUB_BLOCKS},
                     required=["formulation", "sub_blocks"],
@@ -569,7 +570,7 @@ def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
     else:
         raw = kernels.build_kernel_matrix(Z0, spec)
         if config["normalization"] == "sinkhorn":
-            K = kernels.sinkhorn_normalize(raw, tol=1e-13)
+            K = kernels.sinkhorn_normalize(raw)
         else:
             K = kernels.normalize_rows(raw)
         if config["stepper"] == "markov":
@@ -656,14 +657,14 @@ def _net_config_from(config: dict, stage_doc) -> net.NetworkConfig:
             kernel=kernel_spec_from_config(stage_doc["kernel"]),
             placement=stage_doc["placement"],
         )
-    return net.NetworkConfig.with_stage(
+    return net.NetworkConfig(
         task_doc["num_positions"],
         task_doc["num_channels"],
         task_doc["num_classes"],
         doc["trunk_blocks"],
         doc["hidden_channels"],
-        stage,
-        doc["block_gain"],
+        stage=stage,
+        block_gain=doc["block_gain"],
     )
 
 
@@ -716,7 +717,7 @@ def cmd_train(config: dict, report: RunReport, out_dir: Path) -> None:
         )
     spectra = _stage_spectra(history)
     if spectra:  # a stageless net has none, and no formulation
-        _spectra_checks(report, spectra, net_config.stages[0].formulation)
+        _spectra_checks(report, spectra, net_config.stage.formulation)
 
     report.artifacts.append(_write_text(out_dir, "history.csv", history.to_csv()))
     blob, sidecar = net.checkpoint_bytes(history.final_params)

@@ -53,6 +53,10 @@ DEGENERATE_ROW_SUM = 1e-300
 # Sinkhorn gives up after this many scaling iterations.
 SINKHORN_MAX_ITERS = 10000
 
+# Sinkhorn's default residual tolerance: tight enough that the stochastic
+# flags of its result are verified rather than approximate.
+SINKHORN_TOL = 1e-13
+
 
 @dataclass(frozen=True, eq=False)
 class AffinityKernelSpec:
@@ -391,7 +395,7 @@ def normalize_rows(K: KernelMatrix) -> KernelMatrix:
     return KernelMatrix.from_entries(P[0])
 
 
-def sinkhorn_normalize(K: KernelMatrix, tol: float = 1e-10) -> KernelMatrix:
+def sinkhorn_normalize(K: KernelMatrix, tol: float = SINKHORN_TOL) -> KernelMatrix:
     """Symmetric rescaling D K D toward the doubly stochastic limit.
 
     Requires a symmetric, entrywise nonnegative kernel with strictly
@@ -436,13 +440,13 @@ def sinkhorn_normalize(K: KernelMatrix, tol: float = 1e-10) -> KernelMatrix:
 def symmetric_stochastic_kernel(
     field: FeatureField,
     bandwidth: Optional[float] = None,
-    tol: float = 1e-13,
+    tol: float = SINKHORN_TOL,
 ) -> KernelMatrix:
     """rbf kernel balanced to a symmetric doubly stochastic matrix.
 
     This is the standard construction the decay and stability checks run
-    on: rbf guarantees positive entries, and the tight default tolerance
-    leaves the stochastic flags verified rather than approximate.
+    on: rbf guarantees positive entries, and Sinkhorn's tight default
+    tolerance leaves the stochastic flags verified rather than approximate.
     """
     raw = build_kernel_matrix(field, AffinityKernelSpec.rbf(bandwidth))
     return sinkhorn_normalize(raw, tol=tol)

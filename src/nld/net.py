@@ -1,9 +1,11 @@
-"""A small residual network with insertable nonlocal mixing stages.
+"""A small residual network with one insertable nonlocal mixing stage.
 
 Everything is plain numpy with hand-written gradients.  The trunk is a
 stack of per-position residual MLP blocks (relu before each weight, a
-fixed scalar gain standing in for normalization).  A nonlocal stage can
-be inserted after any trunk block, in either formulation:
+fixed scalar gain standing in for normalization).  One optional nonlocal
+stage of N sub-blocks can be inserted after any trunk block; a deeper
+nonlocal structure is a larger N in that stage, not a second stage.  The
+stage comes in either formulation:
 
 * proposed: the affinity kernel is computed once from the stage input
   and held fixed; sub-steps apply Z + W_n (P Z - Z).
@@ -20,8 +22,8 @@ Every contraction is one BLAS matmul: a per-position product runs on the
 two such row matrices, and the kernel gradient is a batched matmul.  At
 these small sizes OpenBLAS is faster on a contiguous operand than on a
 transposed view, by more than a copy costs, so the forward pass copies
-each weight's transpose once, and a stage's backward pass copies P^T once
-per stage and each Z_n^T once per sub-block.  (The kernel Gram V V^T in
+each weight's transpose once, and the stage's backward pass copies P^T once
+and each Z_n^T once per sub-block.  (The kernel Gram V V^T in
 ``kernels`` keeps its transposed view: numpy runs it as a symmetric
 rank-k update, which makes it exactly symmetric.)
 
@@ -81,11 +83,9 @@ class StageConfig:
             raise ValueError("a stage needs at least one sub-block")
         if self.placement < 0:
             raise ValueError("placement must be a valid trunk block index")
-        if self.kernel.variant == RBF and self.kernel.bandwidth is None:
+        affinity = self.kernel.inner if self.kernel.variant == EMBEDDED else self.kernel
+        if affinity.variant == RBF and affinity.bandwidth is None:
             raise ValueError("network stages need an explicit rbf bandwidth")
-        if self.kernel.variant == EMBEDDED and self.kernel.inner.variant == RBF:
-            if self.kernel.inner.bandwidth is None:
-                raise ValueError("network stages need an explicit rbf bandwidth")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +95,7 @@ class NetworkConfig:
     num_classes: int
     trunk_blocks: int
     hidden_channels: int
-    stages: tuple = ()
+    stage: Optional[StageConfig] = None
     block_gain: float = 1.0
 
     def __post_init__(self):
@@ -103,34 +103,22 @@ class NetworkConfig:
             raise ValueError("sizes must be positive")
         if self.trunk_blocks < 1 or self.hidden_channels < 1:
             raise ValueError("trunk needs at least one block and one hidden channel")
-        stages = tuple(self.stages) if self.stages else ()
-        for st in stages:
-            if not isinstance(st, StageConfig):
-                raise ValueError("stages must be StageConfig instances")
-            if st.placement >= self.trunk_blocks:
+        if self.stage is not None:
+            if not isinstance(self.stage, StageConfig):
+                raise ValueError("stage must be a StageConfig instance")
+            if self.stage.placement >= self.trunk_blocks:
                 raise ValueError(
-                    f"placement {st.placement} out of range for {self.trunk_blocks} blocks"
+                    f"placement {self.stage.placement} out of range for {self.trunk_blocks} blocks"
                 )
-        if len({st.placement for st in stages}) != len(stages):
-            raise ValueError("stage placements must be distinct")
-        object.__setattr__(self, "stages", stages)
-
-    @classmethod
-    def with_stage(cls, M, d, num_classes, trunk_blocks, hidden_channels,
-                   stage: Optional[StageConfig] = None, block_gain: float = 1.0):
-        stages = (stage,) if stage is not None else ()
-        return cls(M, d, num_classes, trunk_blocks, hidden_channels, stages, block_gain)
 
 
 def param_names(config: NetworkConfig) -> list:
-    """Checkpoint order: trunk blocks, stages (by index), classifier head."""
+    """Checkpoint order: trunk blocks, the stage's sub-blocks, classifier head."""
     names = []
     for b in range(config.trunk_blocks):
         names.append(f"block{b}.W1")
         names.append(f"block{b}.W2")
-    for s, st in enumerate(config.stages):
-        for n in range(st.sub_blocks):
-            names.append(f"stage{s}.W{n}")
+    names.extend(_stage_param_names(config))
     names.append("head.A")
     names.append("head.b")
     return names
@@ -151,8 +139,7 @@ def init_params(config: NetworkConfig, seed: int) -> dict:
     for name in param_names(config):
         stream = SplitMix64(derive_seed(seed, "param", name))
         if name.startswith("stage"):
-            s = int(name[5 : name.index(".")])
-            if config.stages[s].formulation == PROPOSED:
+            if config.stage.formulation == PROPOSED:
                 params[name] = PROPOSED_INIT_SCALE * np.eye(d)
             else:
                 params[name] = stream.uniforms((d, d), -ORIGINAL_INIT_RANGE, ORIGINAL_INIT_RANGE)
@@ -281,13 +268,16 @@ def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs=None):
     return G, gWs
 
 
-def _stage_param_names(config: NetworkConfig, s: int) -> list:
-    return [f"stage{s}.W{n}" for n in range(config.stages[s].sub_blocks)]
+def _stage_param_names(config: NetworkConfig) -> list:
+    """The stage's sub-block weights; the checkpoint names them ``stage0.W{n}``."""
+    if config.stage is None:
+        return []
+    return [f"stage0.W{n}" for n in range(config.stage.sub_blocks)]
 
 
 def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray):
     """Batched forward pass; returns (logits, cache)."""
-    by_placement = {st.placement: s for s, st in enumerate(config.stages)}
+    stage = config.stage
     Z = X
     trail = []
     # Overflow surfaces as the explicit divergence checks below, not a warning.
@@ -297,18 +287,17 @@ def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray):
             trail.append(("block", b, bc))
             if not np.isfinite(Z).all():
                 raise DivergenceError(f"non-finite activations after block {b}")
-            if b in by_placement:
-                s = by_placement[b]
-                Ws = [params[name] for name in _stage_param_names(config, s)]
-                Z, sc = _stage_fwd(config.stages[s], Ws, Z)
-                trail.append(("stage", s, sc))
+            if stage is not None and b == stage.placement:
+                Ws = [params[name] for name in _stage_param_names(config)]
+                Z, sc = _stage_fwd(stage, Ws, Z)
+                trail.append(("stage", b, sc))
                 if not np.isfinite(Z).all():
-                    raise DivergenceError(f"non-finite activations after stage {s}")
+                    raise DivergenceError("non-finite activations after stage 0")
         pooled = Z.mean(axis=1)
         logits = pooled @ params["head.A"].T + params["head.b"]
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits")
-    cache = {"trail": trail, "pooled": pooled, "logits": logits, "params": params, "batch": X}
+    cache = {"trail": trail, "pooled": pooled, "logits": logits, "params": params}
     return logits, cache
 
 
@@ -333,9 +322,9 @@ def _backward_batch(
     G = np.repeat(dpooled[:, None, :] / M, M, axis=1)
     for kind, idx, sub in reversed(cache["trail"]):
         if kind == "stage":
-            names = _stage_param_names(config, idx)
+            names = _stage_param_names(config)
             Ws = [params[name] for name in names]
-            G, _ = _stage_bwd(config.stages[idx], Ws, sub, G, [grads[name] for name in names])
+            G, _ = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in names])
         else:
             W1 = params[f"block{idx}.W1"]
             W2 = params[f"block{idx}.W2"]
@@ -412,20 +401,12 @@ class SyntheticTask:
     num_positions: int
     num_channels: int
     num_classes: int
-    generator_seed: int
     values: np.ndarray = dc_field(repr=False)  # (num_samples, M, d)
     labels: tuple = ()
 
     @property
     def num_samples(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def samples(self) -> list:
-        return [
-            (FeatureField(self.values[s]), int(self.labels[s]))
-            for s in range(self.num_samples)
-        ]
 
 
 def _agreement_levels(num_classes: int, d: int) -> list:
@@ -474,7 +455,6 @@ def generate_task(M: int, d: int, num_classes: int, num_samples: int, seed: int)
         num_positions=M,
         num_channels=d,
         num_classes=num_classes,
-        generator_seed=seed,
         values=values,
         labels=tuple(labels),
     )
@@ -537,9 +517,12 @@ class TrainingHistory:
     """
 
     per_epoch: tuple
-    diverged: bool
     final_params: dict = dc_field(repr=False, default_factory=dict)
     divergence: Optional[str] = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
@@ -647,7 +630,6 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
 
     return TrainingHistory(
         per_epoch=tuple(history),
-        diverged=divergence is not None,
         final_params={k: v.copy() for k, v in params.items()},
         divergence=divergence,
     )

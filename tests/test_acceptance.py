@@ -219,7 +219,7 @@ def test_gradient_check_battery():
         for sub_blocks in (1, 2, 4):
             for spec in kernel_specs:
                 stage = StageConfig(formulation, sub_blocks, spec, placement=1)
-                config = NetworkConfig.with_stage(5, 2, 3, 2, 3, stage)
+                config = NetworkConfig(5, 2, 3, 2, 3, stage=stage)
                 params = init_params(config, 0)
                 res = forward(config, params, X)
                 grads = backward(config, params, res.cache, label)
@@ -249,7 +249,7 @@ def test_training_direction_and_convergence():
 
     def build(formulation, sub_blocks):
         stage = StageConfig(formulation, sub_blocks, AffinityKernelSpec("gaussian"), 1)
-        return NetworkConfig.with_stage(10, 5, 2, 3, 32, stage, 1.0)
+        return NetworkConfig(10, 5, 2, 3, 32, stage=stage)
 
     proposed = {}
     for n in (1, 2, 4, 8):
@@ -350,7 +350,7 @@ def test_artifact_determinism(tmp_path):
 
     task = generate_task(5, 2, 2, 24, 0)
     stage = StageConfig("proposed", 2, AffinityKernelSpec("gaussian"), 1)
-    config = NetworkConfig.with_stage(5, 2, 2, 2, 3, stage)
+    config = NetworkConfig(5, 2, 2, 2, 3, stage=stage)
     hyper = Hyper(epochs=3, batch_size=8)
     first = train(config, task, hyper, seed=0)
     second = train(config, task, hyper, seed=0)

@@ -955,7 +955,8 @@ def test_train_artifacts_do_not_depend_on_blas_threads(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_compare_duplicate_variants_give_identical_rows(tmp_path):
+def test_compare_duplicate_variants_exit_2(tmp_path, capsys):
+    # A repeated variant would train twice and write its history twice.
     code, out = run_cli(
         tmp_path,
         "compare",
@@ -964,19 +965,15 @@ def test_compare_duplicate_variants_give_identical_rows(tmp_path):
             "net": {"trunk_blocks": 2, "hidden_channels": 3},
             "variants": [
                 {"formulation": "proposed", "sub_blocks": 2},
+                {"formulation": "original", "sub_blocks": 2},
                 {"formulation": "proposed", "sub_blocks": 2},
             ],
             "hyper": TINY_HYPER,
         },
     )
-    assert code == 0
-    report = read_report(out)
-    assert not any(c["name"].startswith("ordering") for c in report["checks"])
-    lines = (out / "comparison.csv").read_text().splitlines()
-    assert lines[0] == "formulation,sub_blocks,final_train_loss,final_val_acc,diverged"
-    assert len(lines) == 3
-    assert lines[1] == lines[2]
-    assert "history_proposed_N2.csv" in report["artifacts"]
+    assert code == 2
+    assert "config rejected" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_ordering_check_with_divergent_runs(tmp_path):

@@ -36,7 +36,7 @@ from nld.net import _block_bwd, _block_fwd, softmax_cross_entropy
 
 
 def small_config(stage=None, trunk_blocks=2, M=5, d=2, C=2, H=3):
-    return NetworkConfig.with_stage(M, d, C, trunk_blocks, H, stage)
+    return NetworkConfig(M, d, C, trunk_blocks, H, stage=stage)
 
 
 def proposed_stage(n=1, placement=1, kernel=None):
@@ -66,10 +66,11 @@ def test_config_rejects_bad_stages():
     with pytest.raises(ValueError):
         StageConfig("proposed", 1, AffinityKernelSpec.rbf(), 0)
     with pytest.raises(ValueError):
-        small_config(proposed_stage(placement=7))
-    cfg_stages = (proposed_stage(placement=1), original_stage(placement=1))
+        StageConfig("proposed", 1, AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.rbf()), 0)
     with pytest.raises(ValueError):
-        NetworkConfig(5, 2, 2, 3, 4, cfg_stages)
+        small_config(proposed_stage(placement=7))
+    with pytest.raises(ValueError):
+        small_config((proposed_stage(),))
 
 
 def test_param_names_order():
@@ -164,8 +165,8 @@ def test_forward_matches_manual_replication_proposed():
     # One trunk block, then a two-sub-step proposed stage: the replication
     # uses a single row-normalized kernel built from the stage input, so
     # agreement here pins the stage-input fixity of the kernel.
-    config = NetworkConfig.with_stage(
-        4, 2, 2, 1, 3, StageConfig("proposed", 2, AffinityKernelSpec.rbf(bandwidth=1.0), 0)
+    config = NetworkConfig(
+        4, 2, 2, 1, 3, stage=StageConfig("proposed", 2, AffinityKernelSpec.rbf(bandwidth=1.0), 0)
     )
     params = init_params(config, 11)
     params["stage0.W0"] = np.array([[0.2, -0.1], [0.05, 0.3]])
@@ -191,8 +192,8 @@ def test_forward_matches_manual_replication_proposed():
 def test_forward_matches_manual_replication_original():
     # Same layout, original formulation: the kernel must be rebuilt from
     # each sub-block's own input and the update adds the positive sum.
-    config = NetworkConfig.with_stage(
-        4, 2, 2, 1, 3, StageConfig("original", 2, AffinityKernelSpec.gaussian(), 0)
+    config = NetworkConfig(
+        4, 2, 2, 1, 3, stage=StageConfig("original", 2, AffinityKernelSpec.gaussian(), 0)
     )
     params = init_params(config, 12)
     params["stage0.W0"] = np.array([[0.05, -0.02], [0.01, 0.04]])
@@ -216,8 +217,8 @@ def test_forward_matches_manual_replication_original():
 
 def test_proposed_stage_norm_stays_bounded_deep():
     # Sixteen stable positive sub-steps never grow the sup norm.
-    config = NetworkConfig.with_stage(
-        6, 2, 2, 1, 3, StageConfig("proposed", 16, AffinityKernelSpec.rbf(bandwidth=1.0), 0)
+    config = NetworkConfig(
+        6, 2, 2, 1, 3, stage=StageConfig("proposed", 16, AffinityKernelSpec.rbf(bandwidth=1.0), 0)
     )
     params = {k: np.zeros_like(v) for k, v in init_params(config, 0).items()}
     for n in range(16):
@@ -486,7 +487,7 @@ def per_tensor_train(config, task, hyper, seed):
     Xva, yva = task.values[n_train:], np.array(task.labels[n_train:])
     shuffler = SplitMix64(derive_seed(seed, "batches"))
     history = []
-    diverged = False
+    divergence = None
     for epoch in range(hyper.epochs):
         lr = net._epoch_lr(hyper, epoch)
         order = list(range(n_train))
@@ -500,8 +501,8 @@ def per_tensor_train(config, task, hyper, seed):
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite loss")
                 grads = net._backward_batch(config, params, cache, dlogits)
-            except (DivergenceError, DegenerateRowError):
-                diverged = True
+            except (DivergenceError, DegenerateRowError) as err:
+                divergence = str(err)
                 break
             for k in params:
                 g = grads[k] + hyper.weight_decay * params[k]
@@ -510,19 +511,19 @@ def per_tensor_train(config, task, hyper, seed):
             loss_sum += loss * len(rows)
             acc_sum += acc * len(rows)
             seen += len(rows)
-        if diverged:
+        if divergence is not None:
             history.append(net.EpochStats(*[float("nan")] * 4))
             break
         try:
             vlogits, _ = net._forward_batch(config, params, Xva)
             val_loss, val_acc, _ = softmax_cross_entropy(vlogits, yva)
-        except (DivergenceError, DegenerateRowError):
-            diverged = True
+        except (DivergenceError, DegenerateRowError) as err:
+            divergence = str(err)
             val_loss, val_acc = float("nan"), float("nan")
         history.append(net.EpochStats(loss_sum / seen, acc_sum / seen, val_loss, val_acc))
-        if diverged:
+        if divergence is not None:
             break
-    csv = TrainingHistory(tuple(history), diverged).to_csv()
+    csv = TrainingHistory(tuple(history), divergence=divergence).to_csv()
     return params, csv
 
 
@@ -575,7 +576,7 @@ def test_extract_stage_spectra_shapes():
 
 def test_extract_stage_spectra_zero_weights():
     params = {"block0.W1": np.ones((3, 3)), "stage0.W0": np.zeros((3, 3)), "head.b": np.ones(2)}
-    history = TrainingHistory(per_epoch=(), diverged=False, final_params=params)
+    history = TrainingHistory(per_epoch=(), final_params=params)
     (rep,) = extract_stage_spectra(history)
     assert rep.eigenvalues == (0.0, 0.0, 0.0)
 
@@ -802,6 +803,6 @@ def test_softmax_cross_entropy_equals_its_one_hot_definition(B, C, scale, ties, 
     assert dlogits.tobytes() == want_dlogits.tobytes()
 
     stats = net.EpochStats(loss, acc, loss, acc)
-    csv = TrainingHistory((stats,), False).to_csv()
+    csv = TrainingHistory((stats,)).to_csv()
     fields = [float(field) for field in csv.splitlines()[1].split(",")]
     assert fields[1:] == [loss, acc, loss, acc]
