@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,6 +539,7 @@ def cli_train_setup(raw):
 
 
 ORIGINAL_N4 = {"net": {"stage": {"formulation": "original", "sub_blocks": 4}}}
+SLICED = {"seed": 7, "task": {"num_samples": 100}, "hyper": {"epochs": 4, "batch_size": 16}}
 
 
 @pytest.mark.parametrize(
@@ -548,8 +550,12 @@ ORIGINAL_N4 = {"net": {"stage": {"formulation": "original", "sub_blocks": 4}}}
         # The benchmark's tiny diverging op: the large step overflows the
         # original stage's affinity within two epochs.
         {"seed": 3, "task": {"num_samples": 48}, "hyper": {"epochs": 5, "lr": 2.0}, **ORIGINAL_N4},
+        # 25 held-out samples against batches of 16, the last of them 11
+        # rows: every batch reads a different prefix of the workspace.
+        {**SLICED, "net": {"stage": {"formulation": "proposed", "sub_blocks": 2}}},
+        {**SLICED, "net": {"stage": None}},
     ],
-    ids=["proposed", "original", "original_diverges"],
+    ids=["proposed", "original", "original_diverges", "proposed_n2_sliced", "stageless_sliced"],
 )
 def test_train_equals_per_tensor_reference(raw):
     config, task, hyper = cli_train_setup(raw)
@@ -693,9 +699,10 @@ def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
     Z = rng.normals((B, M, d))
 
     W1, W2 = rng.normals((H, d)), ints((d, H))
-    _, cache = _block_fwd(W1, W2, 1.0, Z)
+    _, cache = _block_fwd(W1, W2, 1.0, Z, net._block_buffers(B * M, d, H))
     _, gW1, gW2 = _block_bwd(W1, W2, 1.0, cache, G)
-    _, A1, P1, A2 = cache
+    # The cache holds (B*M, c) rows; the einsums read them as (B, M, c).
+    A1, P1, A2 = (a.reshape(B, M, -1) for a in cache[1:4])
     assert_matches_einsum(gW2, "bmd,bmh->dh", G, A2)
     assert_matches_einsum(gW1, "bmh,bmd->hd", (G @ W2) * (P1 > 0), A1)
     assert gW1.shape == (H, d) and gW2.shape == (d, H)
@@ -765,6 +772,60 @@ def test_backward_writes_every_gradient_into_the_flat_buffer(stage):
     assert not np.isnan(gflat).any()
     assert list(allocated) == list(params)
     assert gflat.tobytes() == np.concatenate([allocated[k].ravel() for k in params]).tobytes()
+
+
+def test_a_later_forward_on_the_workspace_makes_a_cache_stale():
+    config = small_config(proposed_stage(n=2), trunk_blocks=3)
+    params = init_params(config, 4)
+    ws = net._Workspace(config, 6)
+    X = SplitMix64(12).normals((6, config.num_positions, config.num_channels))
+    dlogits = SplitMix64(13).normals((6, config.num_classes))
+    _, first = net._forward_batch(config, params, X, ws)
+    want = net._backward_batch(config, params, first, dlogits)
+    _, second = net._forward_batch(config, params, -X[:4], ws)
+    with pytest.raises(ValueError, match="stale cache"):
+        net._backward_batch(config, params, first, dlogits)
+    net._backward_batch(config, params, second, dlogits[:4])
+
+    _, again = net._forward_batch(config, params, X, ws)
+    got = net._backward_batch(config, params, again, dlogits)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    with pytest.raises(ValueError, match="batch of 7 samples does not fit a workspace for 6"):
+        net._forward_batch(config, params, np.zeros((7,) + X.shape[1:]), ws)
+
+
+def warm_step_peak_bytes(hidden_channels, B=32):
+    """Peak traced memory of one training step on a warm workspace: forward,
+    loss and backward of a batch of B at the default train config."""
+    config, _, _ = cli_train_setup({"net": {"hidden_channels": hidden_channels}})
+    theta, params = net._flat_params(init_params(config, 5))
+    grads = net._flat_views(params, np.empty_like(theta))
+    X = SplitMix64(1).normals((B, config.num_positions, config.num_channels))
+    labels = np.arange(B) % config.num_classes
+    ws = net._Workspace(config, B)
+
+    def step():
+        logits, cache = net._forward_batch(config, params, X, ws)
+        _, _, dlogits = softmax_cross_entropy(logits, labels)
+        net._backward_batch(config, params, cache, dlogits, grads)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_step_allocates_nothing_of_the_hidden_width():
+    # Every (B*M, H) array of the trunk lives in the workspace, so widening
+    # the hidden layer from 32 to 256 channels adds less to the step's
+    # peak than one (B*M, 224) float64 array would.
+    B = 32
+    narrow, wide = warm_step_peak_bytes(32, B), warm_step_peak_bytes(256, B)
+    M = cli_train_setup({})[0].num_positions
+    assert wide - narrow < B * M * 224 * 8
 
 
 def one_hot_softmax_cross_entropy(logits, labels):
