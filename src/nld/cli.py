@@ -607,10 +607,7 @@ def cmd_spectrum(config: dict, report: RunReport, out_dir: Path) -> None:
     top_k = config["top_k"]
     try:
         if config["input_kind"] == "matrix_csv":
-            A = load_matrix_csv(path.read_text())
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError(f"matrix is {A.shape[0]} rows x {A.shape[1]} cols, not square")
-            targets = {"matrix": A}
+            targets = {"matrix": load_matrix_csv(path.read_text())}
         else:
             sidecar_path = config["sidecar_path"] or str(path.with_suffix(".json"))
             sidecar = json.loads(Path(sidecar_path).read_text())
@@ -620,6 +617,13 @@ def cmd_spectrum(config: dict, report: RunReport, out_dir: Path) -> None:
             }
             if not targets:
                 raise ValueError("checkpoint holds no stage weight tensors")
+        for name, W in targets.items():
+            if W.ndim != 2:
+                raise ValueError(f"{name} has shape {list(W.shape)}, not a matrix")
+            if W.shape[0] != W.shape[1]:
+                raise ValueError(f"{name} is {W.shape[0]} rows x {W.shape[1]} cols, not square")
+            if not np.isfinite(W).all():
+                raise ValueError(f"{name} has non-finite entries")
     except (OSError, ValueError, json.JSONDecodeError) as err:
         report.checks.append(CheckResult("input_readable", "fail", detail=str(err)))
         return

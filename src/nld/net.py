@@ -51,7 +51,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateRowError, DivergenceError
-from .fields import FeatureField
 from .kernels import (
     EMBEDDED,
     RBF,
@@ -120,6 +119,11 @@ class NetworkConfig:
                 raise ValueError(
                     f"placement {self.stage.placement} out of range for {self.trunk_blocks} blocks"
                 )
+            kernel = self.stage.kernel
+            if kernel.variant == EMBEDDED and kernel.theta.shape[1] != self.num_channels:
+                raise ValueError(
+                    f"theta maps {kernel.theta.shape[1]} channels but the network has {self.num_channels}"
+                )
 
 
 def param_names(config: NetworkConfig) -> list:
@@ -170,9 +174,10 @@ def init_params(config: NetworkConfig, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Batched differentiable pieces.  Arrays are (B, M, *) throughout; the
-# public forward/backward wrap a batch of one.  The affinity and its row
-# normalization come from the batched core in ``kernels``.
+# Batched differentiable pieces.  Arrays are (B, M, *) throughout, and
+# ``_forward_batch`` then ``_backward_batch`` is the one way through the
+# network: every buffer they write is the caller's.  The affinity and its
+# row normalization come from the batched core in ``kernels``.
 # ---------------------------------------------------------------------------
 
 
@@ -186,10 +191,10 @@ def _per_position(X, W):
     return (_rows(X) @ W).reshape(*X.shape[:-1], W.shape[-1])
 
 
-def _weight_grad(G, X, out=None):
-    """sum over (b, m) of G[b, m]^T X[b, m]: the gradient of a per-position
-    weight, written into ``out`` when it is given."""
-    return np.matmul(_rows(G).T, _rows(X), out=out)
+def _weight_grad(G, X, out):
+    """sum over (b, m) of G[b, m]^T X[b, m], the gradient of a per-position
+    weight, written into ``out``."""
+    np.matmul(_rows(G).T, _rows(X), out=out)
 
 
 def _transposed(A):
@@ -198,25 +203,9 @@ def _transposed(A):
     return A.swapaxes(-1, -2).copy()
 
 
-def _block_buffers(rows, d, H, scratch=None):
-    """A trunk block's buffers for ``rows`` positions: its activations A1,
-    P1, A2 and its output, then the backward scratch (dP1, the two relu
-    masks, dA1, dZ).  Blocks can share one scratch, because the backward
-    pass runs them one at a time."""
-    if scratch is None:
-        scratch = (
-            np.empty((rows, H)),
-            np.empty((rows, H), dtype=bool),
-            np.empty((rows, d)),
-            np.empty((rows, d), dtype=bool),
-            np.empty((rows, d)),
-        )
-    return np.empty((rows, d)), np.empty((rows, H)), np.empty((rows, H)), np.empty((rows, d)), scratch
-
-
 def _block_fwd(W1, W2, gain, Z, buffers):
     """One residual block on the (B*M, d) rows of Z, written into the first
-    rows of ``buffers`` (see ``_block_buffers``).  Returns the output rows
+    rows of ``buffers`` (see ``_Workspace``).  Returns the output rows
     and the backward cache, views into the buffers."""
     Z = _rows(Z)
     n = len(Z)
@@ -232,27 +221,26 @@ def _block_fwd(W1, W2, gain, Z, buffers):
     return out, (Z, A1, P1, A2, tuple(a[:n] for a in scratch))
 
 
-def _block_bwd(W1, W2, gain, cache, G, input_grad=True, gW1=None, gW2=None):
-    """(dZ, gW1, gW2) for the rows of G; dZ is None without ``input_grad``,
-    as for the first block, whose input is the data.  The weight gradients
-    are written into ``gW1`` and ``gW2`` when they are given, and dZ into
-    the cache's scratch."""
+def _block_bwd(W1, W2, gain, cache, G, gW1, gW2, input_grad):
+    """Writes the weight gradients for the rows of G into ``gW1`` and
+    ``gW2``, and returns dZ, written into the cache's scratch; dZ is None
+    without ``input_grad``, as for the first block, whose input is the data."""
     Z, A1, P1, A2, (dP1, relu_h, dA1, relu_d, dZ) = cache
     G = _rows(G)
-    gW2 = _weight_grad(G, A2, gW2)
+    _weight_grad(G, A2, gW2)
     np.matmul(G, W2, out=dP1)
     np.greater(P1, 0, out=relu_h)
     np.multiply(dP1, relu_h, out=dP1)
     np.multiply(dP1, gain, out=dP1)
-    gW1 = _weight_grad(dP1, A1, gW1)
+    _weight_grad(dP1, A1, gW1)
     if not input_grad:
-        return None, gW1, gW2
+        return None
     np.matmul(dP1, W1, out=dA1)
     np.greater(Z, 0, out=relu_d)
     np.multiply(dA1, relu_d, out=dA1)
     np.multiply(dA1, gain, out=dA1)
     np.add(G, dA1, out=dZ)
-    return dZ, gW1, gW2
+    return dZ
 
 
 def _stage_fwd(stage: StageConfig, Ws, Z):
@@ -269,7 +257,7 @@ def _stage_fwd(stage: StageConfig, Ws, Z):
             cur = cur + _per_position(D, _transposed(W))
             Zs.append(cur)
             Ds.append(D)
-        return cur, ("proposed", omega, kaux, P, C, Zs, Ds)
+        return cur, (omega, kaux, P, C, Zs, Ds)
     subs = []
     cur = Z
     for W in Ws:
@@ -280,35 +268,31 @@ def _stage_fwd(stage: StageConfig, Ws, Z):
         Y = P @ cur
         subs.append((cur, omega, kaux, P, C, Y))
         cur = cur + _per_position(Y, _transposed(W))
-    return cur, ("original", subs)
+    return cur, subs
 
 
-def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs=None):
-    """(dZ, weight gradients); the n-th gradient is written into ``gWs[n]``
-    when ``gWs`` is given."""
-    gWs = [None] * len(Ws) if gWs is None else list(gWs)
-    if cache[0] == "proposed":
-        _, omega, kaux, P, C, Zs, Ds = cache
+def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs):
+    """Writes the n-th weight gradient into ``gWs[n]`` and returns dZ."""
+    if stage.formulation == PROPOSED:
+        omega, kaux, P, C, Zs, Ds = cache
         X = Zs[0]
         dP_total = np.zeros_like(P)
         PT = _transposed(P)
         for n in range(len(Ws) - 1, -1, -1):
-            gWs[n] = _weight_grad(G, Ds[n], gWs[n])
+            _weight_grad(G, Ds[n], gWs[n])
             dD = _per_position(G, Ws[n])
             dP_total += dD @ _transposed(Zs[n])
             G = G + PT @ dD - dD
         dOmega = _rownorm_bwd(dP_total, P, C)
-        dX = G + _kernel_bwd(stage.kernel, X, omega, kaux, dOmega)
-        return dX, gWs
-    _, subs = cache
+        return G + _kernel_bwd(stage.kernel, X, omega, kaux, dOmega)
     for n in range(len(Ws) - 1, -1, -1):
-        Zn, omega, kaux, P, C, Y = subs[n]
-        gWs[n] = _weight_grad(G, Y, gWs[n])
+        Zn, omega, kaux, P, C, Y = cache[n]
+        _weight_grad(G, Y, gWs[n])
         dY = _per_position(G, Ws[n])
         dP = dY @ _transposed(Zn)
         dOmega = _rownorm_bwd(dP, P, C)
         G = G + np.transpose(P, (0, 2, 1)) @ dY + _kernel_bwd(stage.kernel, Zn, omega, kaux, dOmega)
-    return G, gWs
+    return G
 
 
 def _stage_param_names(config: NetworkConfig) -> list:
@@ -330,20 +314,30 @@ class _Workspace:
     def __init__(self, config: NetworkConfig, capacity: int):
         rows = capacity * config.num_positions
         d, H = config.num_channels, config.hidden_channels
-        first = _block_buffers(rows, d, H)
-        scratch = first[-1]
+        # The backward scratch: dP1, the two relu masks, dA1, dZ.  The
+        # blocks share it, because the backward pass runs them one at a time.
+        scratch = (
+            np.empty((rows, H)),
+            np.empty((rows, H), dtype=bool),
+            np.empty((rows, d)),
+            np.empty((rows, d), dtype=bool),
+            np.empty((rows, d)),
+        )
         self.capacity = capacity
         self.generation = 0
-        self.blocks = [first] + [_block_buffers(rows, d, H, scratch) for _ in range(config.trunk_blocks - 1)]
+        # Each block's activations A1, P1, A2 and its output, then the scratch.
+        self.blocks = [
+            (np.empty((rows, d)), np.empty((rows, H)), np.empty((rows, H)), np.empty((rows, d)), scratch)
+            for _ in range(config.trunk_blocks)
+        ]
 
 
-def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: Optional[_Workspace] = None):
-    """Batched forward pass into ``ws`` (a fresh workspace without it);
-    returns (logits, cache).  The trunk runs on the (B*M, d) rows of the
-    batch; the stage and the pooling see (B, M, d) views of them."""
-    if ws is None:
-        ws = _Workspace(config, len(X))
-    elif len(X) > ws.capacity:
+def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: _Workspace):
+    """The forward pass of the (B, M, d) batch X into the workspace ``ws``;
+    returns (logits, cache), the cache ``_backward_batch`` reads.  The trunk
+    runs on the (B*M, d) rows of the batch; the stage and the pooling see
+    (B, M, d) views of them."""
+    if len(X) > ws.capacity:
         raise ValueError(f"batch of {len(X)} samples does not fit a workspace for {ws.capacity}")
     ws.generation += 1
     stage = config.stage
@@ -370,7 +364,6 @@ def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: Optio
     cache = {
         "trail": trail,
         "pooled": pooled,
-        "logits": logits,
         "params": params,
         "workspace": ws,
         "generation": ws.generation,
@@ -379,20 +372,18 @@ def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: Optio
 
 
 def _backward_batch(
-    config: NetworkConfig, params: dict, cache: dict, dlogits: np.ndarray, grads: Optional[dict] = None
+    config: NetworkConfig, params: dict, cache: dict, dlogits: np.ndarray, grads: dict
 ) -> dict:
-    """Every parameter's gradient, written into ``grads``.
+    """Every parameter's gradient, written into ``grads`` and returned.
 
     ``grads`` holds views into one flat vector laid out like ``params``
-    (see ``_flat_views``); without it, one is allocated.  Every element of
-    the vector is written.  The scratch comes from the cache's workspace.
+    (see ``_flat_views``), and every element of the vector is written.  The
+    scratch comes from the cache's workspace.
     """
     if cache.get("params") is not params:
         raise ValueError("stale cache: it was produced by a different parameter set")
     if cache["generation"] != cache["workspace"].generation:
         raise ValueError("stale cache: a later forward pass on its workspace overwrote it")
-    if grads is None:
-        grads = _flat_views(params, np.empty(sum(np.size(v) for v in params.values())))
     pooled = cache["pooled"]
     M = config.num_positions
     np.matmul(dlogits.T, pooled, out=grads["head.A"])
@@ -404,12 +395,12 @@ def _backward_batch(
             names = _stage_param_names(config)
             Ws = [params[name] for name in names]
             G = G.reshape(len(pooled), M, -1)
-            G, _ = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in names])
+            G = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in names])
         else:
             W1 = params[f"block{idx}.W1"]
             W2 = params[f"block{idx}.W2"]
-            G, _, _ = _block_bwd(
-                W1, W2, config.block_gain, sub, G, idx > 0, grads[f"block{idx}.W1"], grads[f"block{idx}.W2"]
+            G = _block_bwd(
+                W1, W2, config.block_gain, sub, G, grads[f"block{idx}.W1"], grads[f"block{idx}.W2"], idx > 0
             )
     return grads
 
@@ -429,38 +420,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits /= B
     acc = int(np.count_nonzero(np.argmax(logits, axis=1) == labels)) / B
     return loss, acc, dlogits
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardResult:
-    logits: np.ndarray
-    cache: dict
-
-
-def forward(config: NetworkConfig, params: dict, X: FeatureField) -> ForwardResult:
-    """Single-sample forward pass."""
-    if X.num_positions != config.num_positions or X.num_channels != config.num_channels:
-        raise ValueError(
-            f"field is {X.num_positions}x{X.num_channels}, config wants "
-            f"{config.num_positions}x{config.num_channels}"
-        )
-    logits, cache = _forward_batch(config, params, X.values[None, :, :])
-    return ForwardResult(logits=logits[0], cache=cache)
-
-
-def backward(config: NetworkConfig, params: dict, cache: dict, label: int) -> dict:
-    """Gradients of the softmax cross-entropy at ``label`` for one sample."""
-    logits = cache["logits"]
-    if not (0 <= label < config.num_classes):
-        raise ValueError(f"label {label} out of range")
-    _, _, dlogits = softmax_cross_entropy(logits, np.array([label]))
-    return _backward_batch(config, params, cache, dlogits)
-
-
-def loss_for_sample(config: NetworkConfig, params: dict, X: FeatureField, label: int) -> float:
-    res = forward(config, params, X)
-    loss, _, _ = softmax_cross_entropy(res.logits[None, :], np.array([label]))
-    return loss
 
 
 # ---------------------------------------------------------------------------

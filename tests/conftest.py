@@ -65,3 +65,27 @@ def l2_ratios(traj):
     """Each step's l2 norm over the previous one's."""
     stats = traj.per_step_stats
     return [cur.l2_norm / prev.l2_norm for prev, cur in zip(stats, stats[1:])]
+
+
+def net_forward(config, params, X):
+    """``net._forward_batch`` of the (B, M, d) batch X on a workspace of its own."""
+    return nld.net._forward_batch(config, params, X, nld.net._Workspace(config, len(X)))
+
+
+def net_loss(config, params, X, labels):
+    """The mean cross-entropy of the batch X at ``labels``."""
+    logits, _ = net_forward(config, params, X)
+    return nld.net.softmax_cross_entropy(logits, labels)[0]
+
+
+def net_gradients(config, params, X, labels):
+    """The logits of the batch X and the gradient of its mean cross-entropy
+    at ``labels``, written into views of one flat vector as ``train`` does."""
+    logits, cache = net_forward(config, params, X)
+    _, _, dlogits = nld.net.softmax_cross_entropy(logits, labels)
+    return logits, nld.net._backward_batch(config, params, cache, dlogits, flat_grads(params))
+
+
+def flat_grads(params):
+    """Gradient views into one fresh flat vector laid out like ``params``."""
+    return nld.net._flat_views(params, np.empty(sum(np.size(v) for v in params.values())))

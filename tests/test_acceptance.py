@@ -24,17 +24,14 @@ from nld import (
     SplitMix64,
     StageConfig,
     apply_diffusion,
-    backward,
     cfl_verdict,
     derive_seed,
     eig_symmetric,
     estimate_decay_rate,
     evolve,
     extract_stage_spectra,
-    forward,
     generate_task,
     init_params,
-    loss_for_sample,
     poincare_constant,
     symmetric_stochastic_kernel,
     symmetrize,
@@ -45,7 +42,7 @@ from nld.cli import main
 from nld.dynamics import BLOWUP_LIMIT, OriginalStepper
 from nld.fields import save_matrix_csv
 
-from conftest import l2_ratios, step_states, sup_norms
+from conftest import l2_ratios, net_gradients, net_loss, step_states, sup_norms
 
 
 def test_operator_identity_battery():
@@ -211,8 +208,9 @@ def test_gradient_check_battery():
             np.array([[0.3, -0.2], [0.1, 0.4]]), AffinityKernelSpec("gaussian")
         ),
     ]
-    X = FeatureField(SplitMix64(derive_seed(0, "fdfield")).normals((5, 2)))
-    label = 1
+    # A batch of one sample.
+    X = SplitMix64(derive_seed(0, "fdfield")).normals((5, 2))[None]
+    label = np.array([1])
     eps = 1e-5
     worst = 0.0
     for formulation in ("proposed", "original"):
@@ -221,16 +219,15 @@ def test_gradient_check_battery():
                 stage = StageConfig(formulation, sub_blocks, spec, placement=1)
                 config = NetworkConfig(5, 2, 3, 2, 3, stage=stage)
                 params = init_params(config, 0)
-                res = forward(config, params, X)
-                grads = backward(config, params, res.cache, label)
+                _, grads = net_gradients(config, params, X, label)
                 for name, grad in grads.items():
                     for flat in range(grad.size):
                         idx = np.unravel_index(flat, grad.shape)
                         pert = {k: v.copy() for k, v in params.items()}
                         pert[name][idx] += eps
-                        hi = loss_for_sample(config, pert, X, label)
+                        hi = net_loss(config, pert, X, label)
                         pert[name][idx] -= 2.0 * eps
-                        lo = loss_for_sample(config, pert, X, label)
+                        lo = net_loss(config, pert, X, label)
                         fd = (hi - lo) / (2.0 * eps)
                         analytic = float(grad[idx])
                         err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)

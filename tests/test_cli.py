@@ -827,6 +827,33 @@ def test_spectrum_checkpoint_without_stage_tensors_fails(tmp_path):
     assert "no stage weight tensors" in check["detail"]
 
 
+@pytest.mark.parametrize(
+    "kind, target, message",
+    [
+        ("matrix_csv", np.array([[1.0, np.nan], [np.nan, 2.0]]), "matrix has non-finite entries"),
+        ("checkpoint", np.ones((2, 3)), "stage0.W0 is 2 rows x 3 cols, not square"),
+        ("checkpoint", np.array([[1.0, np.inf], [0.0, 1.0]]), "stage0.W0 has non-finite entries"),
+    ],
+    ids=["csv_nan", "checkpoint_not_square", "checkpoint_inf"],
+)
+def test_spectrum_malformed_matrix_is_unreadable_input(tmp_path, kind, target, message):
+    if kind == "matrix_csv":
+        path = tmp_path / "matrix.csv"
+        path.write_text(save_matrix_csv(target))
+    else:
+        path = tmp_path / "ck.bin"
+        blob, sidecar = net.checkpoint_bytes({"stage0.W0": target})
+        path.write_bytes(blob)
+        (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+    code, out = run_cli(tmp_path, "spectrum", {"input_path": str(path), "input_kind": kind})
+    assert code == 1
+    report = read_report(out)
+    check = check_by_name(report, "input_readable")
+    assert check["status"] == "fail"
+    assert check["detail"] == message
+    assert report["artifacts"] == ["report.json"]
+
+
 # ---------------------------------------------------------------------------
 # train.
 # ---------------------------------------------------------------------------
@@ -973,6 +1000,19 @@ def test_compare_duplicate_variants_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "config rejected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_embedded_theta_of_another_width_exits_2(tmp_path, capsys, command):
+    kernel = {"variant": "embedded", "theta": [[1.0, 0.0, 0.0]], "inner": {"variant": "gaussian"}}
+    if command == "train":
+        net_doc = {**TINY_NET, "stage": {**TINY_NET["stage"], "kernel": kernel}}
+    else:
+        net_doc = {"trunk_blocks": 2, "hidden_channels": 3, "kernel": kernel}
+    code, out = run_cli(tmp_path, command, {"task": TINY_TASK, "net": net_doc, "hyper": TINY_HYPER})
+    assert code == 2
+    assert "theta maps 3 channels but the network has 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -280,7 +280,7 @@ def test_net_stage_uses_the_same_affinity():
     spec = AffinityKernelSpec.gaussian()
     stage = StageConfig("proposed", sub_blocks=1, kernel=spec, placement=0)
     _, cache = _stage_fwd(stage, [0.1 * np.eye(3)], f.values[None])
-    omega = cache[1][0]
+    omega = cache[0][0]
     # build_kernel_matrix keeps the core's upper triangle and mirrors it.
     assert np.array_equal(np.triu(omega), np.triu(build_kernel_matrix(f, spec).entries))
 

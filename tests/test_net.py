@@ -18,22 +18,21 @@ from nld import (
     StageConfig,
     TrainingHistory,
     agreement_count,
-    backward,
     checkpoint_bytes,
     checkpoint_from_bytes,
     derive_seed,
     extract_stage_spectra,
-    forward,
     generate_task,
     init_params,
     label_from_field,
-    loss_for_sample,
     param_names,
     train,
 )
 from nld import net
 from nld.cli import _hyper_from, _net_config_from, _task_from, resolve_config
 from nld.net import _block_bwd, _block_fwd, softmax_cross_entropy
+
+from conftest import flat_grads, net_forward, net_gradients, net_loss
 
 
 def small_config(stage=None, trunk_blocks=2, M=5, d=2, C=2, H=3):
@@ -56,6 +55,12 @@ def random_field(seed, M, d):
     return FeatureField(SplitMix64(derive_seed(seed, "netfield", M, d)).normals((M, d)))
 
 
+def logits_of(config, params, field):
+    """The logits of one field, run as a batch of one."""
+    logits, _ = net_forward(config, params, field.values[None])
+    return logits[0]
+
+
 # configuration and initialization
 
 
@@ -72,6 +77,11 @@ def test_config_rejects_bad_stages():
         small_config(proposed_stage(placement=7))
     with pytest.raises(ValueError):
         small_config((proposed_stage(),))
+    gaussian = AffinityKernelSpec.gaussian()
+    with pytest.raises(ValueError, match="theta maps 3 channels but the network has 2"):
+        small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.eye(3), gaussian)))
+    # theta may change the width the affinity sees; it must read the network's.
+    small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.ones((3, 2)), gaussian)))
 
 
 def test_param_names_order():
@@ -118,8 +128,7 @@ def test_init_stage_weights_by_formulation():
 def test_zero_params_give_uniform_logits():
     config = small_config(proposed_stage())
     params = {k: np.zeros_like(v) for k, v in init_params(config, 0).items()}
-    res = forward(config, params, random_field(1, 5, 2))
-    assert np.array_equal(res.logits, np.zeros(2))
+    assert np.array_equal(logits_of(config, params, random_field(1, 5, 2)), np.zeros(2))
 
 
 def test_stage_with_zero_weight_matches_stageless_net():
@@ -129,9 +138,7 @@ def test_stage_with_zero_weight_matches_stageless_net():
     params["stage0.W0"] = np.zeros((2, 2))
     trunk_only = {k: v for k, v in params.items() if not k.startswith("stage")}
     X = random_field(2, 5, 2)
-    assert np.array_equal(
-        forward(staged, params, X).logits, forward(plain, trunk_only, X).logits
-    )
+    assert np.array_equal(logits_of(staged, params, X), logits_of(plain, trunk_only, X))
 
 
 def test_dirac_proposed_stage_is_identity():
@@ -141,16 +148,7 @@ def test_dirac_proposed_stage_is_identity():
     params["stage0.W0"] = SplitMix64(99).normals((2, 2))
     trunk_only = {k: v for k, v in params.items() if not k.startswith("stage")}
     X = random_field(3, 5, 2)
-    assert np.array_equal(
-        forward(staged, params, X).logits, forward(plain, trunk_only, X).logits
-    )
-
-
-def test_forward_rejects_wrong_field_shape():
-    config = small_config(None)
-    params = init_params(config, 0)
-    with pytest.raises(ValueError):
-        forward(config, params, random_field(4, 7, 2))
+    assert np.array_equal(logits_of(staged, params, X), logits_of(plain, trunk_only, X))
 
 
 def test_forward_divergence_error():
@@ -159,7 +157,7 @@ def test_forward_divergence_error():
     params["block0.W1"] = np.full_like(params["block0.W1"], 1e200)
     params["block0.W2"] = np.full_like(params["block0.W2"], 1e200)
     with pytest.raises(DivergenceError):
-        forward(config, params, random_field(5, 5, 2))
+        logits_of(config, params, random_field(5, 5, 2))
 
 
 def test_forward_matches_manual_replication_proposed():
@@ -173,7 +171,7 @@ def test_forward_matches_manual_replication_proposed():
     params["stage0.W0"] = np.array([[0.2, -0.1], [0.05, 0.3]])
     params["stage0.W1"] = np.array([[-0.3, 0.2], [0.1, 0.0]])
     X = random_field(6, 4, 2)
-    got = forward(config, params, X).logits
+    got = logits_of(config, params, X)
 
     Z = X.values
     A1 = np.maximum(Z, 0.0)
@@ -200,7 +198,7 @@ def test_forward_matches_manual_replication_original():
     params["stage0.W0"] = np.array([[0.05, -0.02], [0.01, 0.04]])
     params["stage0.W1"] = np.array([[-0.03, 0.02], [0.02, 0.01]])
     X = random_field(7, 4, 2)
-    got = forward(config, params, X).logits
+    got = logits_of(config, params, X)
 
     Z = X.values
     A1 = np.maximum(Z, 0.0)
@@ -225,9 +223,9 @@ def test_proposed_stage_norm_stays_bounded_deep():
     for n in range(16):
         params[f"stage0.W{n}"] = 0.9 * np.eye(2)
     X = random_field(8, 6, 2)
-    res = forward(config, params, X)
-    stage_cache = next(sub for kind, _, sub in res.cache["trail"] if kind == "stage")
-    Zs = stage_cache[5]
+    _, cache = net_forward(config, params, X.values[None])
+    stage_cache = next(sub for kind, _, sub in cache["trail"] if kind == "stage")
+    Zs = stage_cache[4]
     z_in = float(np.max(np.abs(Zs[0])))
     z_out = float(np.max(np.abs(Zs[-1])))
     assert z_out <= z_in + 1e-8
@@ -236,12 +234,13 @@ def test_proposed_stage_norm_stays_bounded_deep():
 # backward pass
 
 
-def fd_gradient(config, params, X, label, name, idx, eps=1e-5):
+def fd_gradient(config, params, X, labels, name, idx, eps=1e-5):
+    """Central difference of the batch X's mean loss in one parameter element."""
     pert = {k: v.copy() for k, v in params.items()}
     pert[name][idx] += eps
-    hi = loss_for_sample(config, pert, X, label)
+    hi = net_loss(config, pert, X, labels)
     pert[name][idx] -= 2.0 * eps
-    lo = loss_for_sample(config, pert, X, label)
+    lo = net_loss(config, pert, X, labels)
     return (hi - lo) / (2.0 * eps)
 
 
@@ -252,10 +251,8 @@ def rel_err(a, b):
 def test_head_bias_gradient_closed_form():
     config = small_config(proposed_stage())
     params = init_params(config, 5)
-    X = FeatureField(np.zeros((5, 2)))
-    res = forward(config, params, X)
-    grads = backward(config, params, res.cache, 1)
-    e = np.exp(res.logits - res.logits.max())
+    logits, grads = net_gradients(config, params, np.zeros((1, 5, 2)), np.array([1]))
+    e = np.exp(logits[0] - logits[0].max())
     p = e / e.sum()
     onehot = np.array([0.0, 1.0])
     assert np.max(np.abs(grads["head.b"] - (p - onehot))) <= 1e-12
@@ -264,8 +261,7 @@ def test_head_bias_gradient_closed_form():
 def test_stage_gradient_zero_on_constant_field():
     config = small_config(proposed_stage(n=2))
     params = init_params(config, 6)
-    res = forward(config, params, FeatureField(np.full((5, 2), 0.75)))
-    grads = backward(config, params, res.cache, 0)
+    _, grads = net_gradients(config, params, np.full((1, 5, 2), 0.75), np.array([0]))
     assert np.max(np.abs(grads["stage0.W0"])) <= 1e-12
     assert np.max(np.abs(grads["stage0.W1"])) <= 1e-12
 
@@ -273,27 +269,49 @@ def test_stage_gradient_zero_on_constant_field():
 def test_backward_rejects_stale_cache():
     config = small_config(None)
     params = init_params(config, 0)
-    res = forward(config, params, random_field(9, 5, 2))
+    logits, cache = net_forward(config, params, random_field(9, 5, 2).values[None])
     other = init_params(config, 1)
-    with pytest.raises(ValueError):
-        backward(config, other, res.cache, 0)
-    with pytest.raises(ValueError):
-        backward(config, params, res.cache, 5)
+    with pytest.raises(ValueError, match="stale cache"):
+        net._backward_batch(config, other, cache, np.zeros_like(logits), flat_grads(other))
 
 
 @pytest.mark.parametrize("stage_factory", [proposed_stage, original_stage])
 def test_gradient_spot_check(stage_factory):
     config = small_config(stage_factory(n=2))
     params = init_params(config, 0)
-    X = random_field(10, 5, 2)
-    res = forward(config, params, X)
-    grads = backward(config, params, res.cache, 1)
+    X = random_field(10, 5, 2).values[None]
+    labels = np.array([1])
+    _, grads = net_gradients(config, params, X, labels)
     for name in ("stage0.W0", "stage0.W1", "block0.W1", "head.A"):
         arr = grads[name]
         for flat in range(0, arr.size, max(1, arr.size // 3)):
             idx = np.unravel_index(flat, arr.shape)
-            fd = fd_gradient(config, params, X, 1, name, idx)
+            fd = fd_gradient(config, params, X, labels, name, idx)
             assert rel_err(float(arr[idx]), fd) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "kernel", [AffinityKernelSpec.gaussian(), AffinityKernelSpec.rbf(bandwidth=1.0)], ids=["gaussian", "rbf"]
+)
+@pytest.mark.parametrize("placement", [0, 1])
+@pytest.mark.parametrize("formulation", ["proposed", "original"])
+def test_gradient_check_on_a_batch_of_three(formulation, placement, kernel):
+    """Every gradient element of a three-sample batch against central
+    differences of its mean loss, with the battery's step and tolerance:
+    this checks the 1/B mean, and that the backward pass keeps each
+    sample's terms to that sample."""
+    config = NetworkConfig(5, 2, 3, 2, 3, stage=StageConfig(formulation, 2, kernel, placement))
+    params = init_params(config, 0)
+    X = SplitMix64(derive_seed(0, "fdbatch")).normals((3, 5, 2))
+    labels = np.array([0, 1, 2])
+    _, grads = net_gradients(config, params, X, labels)
+    worst = 0.0
+    for name, grad in grads.items():
+        for flat in range(grad.size):
+            idx = np.unravel_index(flat, grad.shape)
+            fd = fd_gradient(config, params, X, labels, name, idx)
+            worst = max(worst, rel_err(float(grad[idx]), fd))
+    assert worst <= 1e-5
 
 
 # synthetic task
@@ -487,6 +505,8 @@ def per_tensor_train(config, task, hyper, seed):
     Xtr, ytr = task.values[:n_train], np.array(task.labels[:n_train])
     Xva, yva = task.values[n_train:], np.array(task.labels[n_train:])
     shuffler = SplitMix64(derive_seed(seed, "batches"))
+    ws = net._Workspace(config, max(hyper.batch_size, n_val))
+    grads = flat_grads(params)
     history = []
     divergence = None
     for epoch in range(hyper.epochs):
@@ -497,11 +517,11 @@ def per_tensor_train(config, task, hyper, seed):
         for start in range(0, n_train, hyper.batch_size):
             rows = order[start : start + hyper.batch_size]
             try:
-                logits, cache = net._forward_batch(config, params, Xtr[rows])
+                logits, cache = net._forward_batch(config, params, Xtr[rows], ws)
                 loss, acc, dlogits = softmax_cross_entropy(logits, ytr[rows])
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite loss")
-                grads = net._backward_batch(config, params, cache, dlogits)
+                net._backward_batch(config, params, cache, dlogits, grads)
             except (DivergenceError, DegenerateRowError) as err:
                 divergence = str(err)
                 break
@@ -516,7 +536,7 @@ def per_tensor_train(config, task, hyper, seed):
             history.append(net.EpochStats(*[float("nan")] * 4))
             break
         try:
-            vlogits, _ = net._forward_batch(config, params, Xva)
+            vlogits, _ = net._forward_batch(config, params, Xva, ws)
             val_loss, val_acc, _ = softmax_cross_entropy(vlogits, yva)
         except (DivergenceError, DegenerateRowError) as err:
             divergence = str(err)
@@ -669,9 +689,10 @@ def stage_backward_with_row_gradient(stage, Ws, cache, G):
         seen.append(dP.copy())
         return rownorm_bwd(dP, P, C)
 
+    gWs = [np.empty_like(W) for W in Ws]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(net, "_rownorm_bwd", spy)
-        _, gWs = net._stage_bwd(stage, Ws, cache, G)
+        net._stage_bwd(stage, Ws, cache, G, gWs)
     (dP,) = seen
     return gWs, dP
 
@@ -698,9 +719,11 @@ def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
     G = ints((B, M, d))
     Z = rng.normals((B, M, d))
 
+    config = NetworkConfig(M, d, 3, 1, H)
     W1, W2 = rng.normals((H, d)), ints((d, H))
-    _, cache = _block_fwd(W1, W2, 1.0, Z, net._block_buffers(B * M, d, H))
-    _, gW1, gW2 = _block_bwd(W1, W2, 1.0, cache, G)
+    _, cache = _block_fwd(W1, W2, 1.0, Z, net._Workspace(config, B).blocks[0])
+    gW1, gW2 = np.empty((H, d)), np.empty((d, H))
+    _block_bwd(W1, W2, 1.0, cache, G, gW1, gW2, True)
     # The cache holds (B*M, c) rows; the einsums read them as (B, M, c).
     A1, P1, A2 = (a.reshape(B, M, -1) for a in cache[1:4])
     assert_matches_einsum(gW2, "bmd,bmh->dh", G, A2)
@@ -711,17 +734,16 @@ def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
     for stage in (proposed_stage(), original_stage()):
         _, scache = net._stage_fwd(stage, [W], Z)
         (gW,), dP = stage_backward_with_row_gradient(stage, [W], scache, G)
-        # The proposed step adds D W^T with D = P Z - Z (cache slot 6); the
+        # The proposed step adds D W^T with D = P Z - Z (cache slot 5); the
         # original one adds Y W^T with Y = P Z (slot 5 of its sub-block).
-        step = scache[6][0] if stage.formulation == "proposed" else scache[1][0][5]
+        step = scache[5][0] if stage.formulation == "proposed" else scache[0][5]
         assert_matches_einsum(gW, "bmc,bme->ce", G, step)
         assert_matches_einsum(dP, "bie,bje->bij", G @ W, Z)
 
-    config = NetworkConfig(M, d, 3, 1, H)
     params = init_params(config, seed)
-    _, fcache = net._forward_batch(config, params, Z)
+    _, fcache = net_forward(config, params, Z)
     dlogits = rng.normals((B, 3))
-    grads = net._backward_batch(config, params, fcache, dlogits)
+    grads = net._backward_batch(config, params, fcache, dlogits, flat_grads(params))
     assert_matches_einsum(grads["head.A"], "bc,bd->cd", dlogits, fcache["pooled"])
 
 
@@ -731,23 +753,24 @@ def test_first_block_skips_its_unread_input_gradient(monkeypatch, stage_factory)
     params = init_params(config, 5)
     X = SplitMix64(6).normals((4, config.num_positions, config.num_channels))
     dlogits = SplitMix64(7).normals((4, config.num_classes))
-    _, cache = net._forward_batch(config, params, X)
+    _, cache = net_forward(config, params, X)
     G = SplitMix64(8).normals(X.shape)
     W1, W2 = params["block0.W1"], params["block0.W2"]
-    dZ, gW1, gW2 = _block_bwd(W1, W2, config.block_gain, cache["trail"][0][2], G, input_grad=False)
-    full = _block_bwd(W1, W2, config.block_gain, cache["trail"][0][2], G)
-    assert dZ is None and full[0] is not None
-    assert np.array_equal(gW1, full[1]) and np.array_equal(gW2, full[2])
+    skip, full = (np.empty_like(W1), np.empty_like(W2)), (np.empty_like(W1), np.empty_like(W2))
+    dZ = _block_bwd(W1, W2, config.block_gain, cache["trail"][0][2], G, *skip, False)
+    full_dZ = _block_bwd(W1, W2, config.block_gain, cache["trail"][0][2], G, *full, True)
+    assert dZ is None and full_dZ is not None
+    assert np.array_equal(skip[0], full[0]) and np.array_equal(skip[1], full[1])
 
-    grads = net._backward_batch(config, params, cache, dlogits)
+    grads = net._backward_batch(config, params, cache, dlogits, flat_grads(params))
     skipped = []
 
-    def every_input_gradient(W1, W2, gain, sub, G, input_grad=True, gW1=None, gW2=None):
+    def every_input_gradient(W1, W2, gain, sub, G, gW1, gW2, input_grad):
         skipped.append(not input_grad)
-        return _block_bwd(W1, W2, gain, sub, G, True, gW1, gW2)
+        return _block_bwd(W1, W2, gain, sub, G, gW1, gW2, True)
 
     monkeypatch.setattr(net, "_block_bwd", every_input_gradient)
-    reference = net._backward_batch(config, params, cache, dlogits)
+    reference = net._backward_batch(config, params, cache, dlogits, flat_grads(params))
     assert skipped == [False, False, True]
     assert reference.keys() == grads.keys()
     assert all(np.array_equal(grads[k], reference[k]) for k in grads)
@@ -763,15 +786,17 @@ def test_backward_writes_every_gradient_into_the_flat_buffer(stage):
     theta, params = net._flat_params(init_params(config, 4))
     X = SplitMix64(12).normals((6, config.num_positions, config.num_channels))
     dlogits = SplitMix64(13).normals((6, config.num_classes))
-    _, cache = net._forward_batch(config, params, X)
-    allocated = net._backward_batch(config, params, cache, dlogits)
+    _, cache = net_forward(config, params, X)
+    # One array per tensor, apart from any flat vector.
+    separate = {name: np.empty_like(value) for name, value in params.items()}
+    net._backward_batch(config, params, cache, dlogits, separate)
 
     gflat = np.full_like(theta, np.nan)
     views = net._flat_views(params, gflat)
     assert net._backward_batch(config, params, cache, dlogits, views) is views
     assert not np.isnan(gflat).any()
-    assert list(allocated) == list(params)
-    assert gflat.tobytes() == np.concatenate([allocated[k].ravel() for k in params]).tobytes()
+    assert list(separate) == list(params)
+    assert gflat.tobytes() == np.concatenate([separate[k].ravel() for k in params]).tobytes()
 
 
 def test_a_later_forward_on_the_workspace_makes_a_cache_stale():
@@ -781,14 +806,14 @@ def test_a_later_forward_on_the_workspace_makes_a_cache_stale():
     X = SplitMix64(12).normals((6, config.num_positions, config.num_channels))
     dlogits = SplitMix64(13).normals((6, config.num_classes))
     _, first = net._forward_batch(config, params, X, ws)
-    want = net._backward_batch(config, params, first, dlogits)
+    want = net._backward_batch(config, params, first, dlogits, flat_grads(params))
     _, second = net._forward_batch(config, params, -X[:4], ws)
     with pytest.raises(ValueError, match="stale cache"):
-        net._backward_batch(config, params, first, dlogits)
-    net._backward_batch(config, params, second, dlogits[:4])
+        net._backward_batch(config, params, first, dlogits, flat_grads(params))
+    net._backward_batch(config, params, second, dlogits[:4], flat_grads(params))
 
     _, again = net._forward_batch(config, params, X, ws)
-    got = net._backward_batch(config, params, again, dlogits)
+    got = net._backward_batch(config, params, again, dlogits, flat_grads(params))
     assert all(np.array_equal(got[k], want[k]) for k in want)
     with pytest.raises(ValueError, match="batch of 7 samples does not fit a workspace for 6"):
         net._forward_batch(config, params, np.zeros((7,) + X.shape[1:]), ws)
