@@ -620,6 +620,8 @@ def cmd_spectrum(config: dict, report: RunReport, out_dir: Path) -> None:
         for name, W in targets.items():
             if W.ndim != 2:
                 raise ValueError(f"{name} has shape {list(W.shape)}, not a matrix")
+            if W.size == 0:
+                raise ValueError(f"{name} has no entries")
             if W.shape[0] != W.shape[1]:
                 raise ValueError(f"{name} is {W.shape[0]} rows x {W.shape[1]} cols, not square")
             if not np.isfinite(W).all():

@@ -14,6 +14,14 @@ and :func:`normalize_rows` run it on a batch of one; the network runs it
 on minibatches and differentiates through it.  :func:`eval_affinity` is
 the scalar, one-pair-at-a-time reference the tests hold the core to.
 
+The core writes every result the size of a kernel or a field into buffers
+its caller passes: the network passes views of its per-run workspace, so
+a training step allocates nothing of that size, and the batch-of-one
+callers pass fresh arrays.  The buffers are required arguments.
+``_kernel_fwd`` returns what its backward needs; the others return the
+buffers they wrote.  Only the rbf, embedded and dirac_delta variants
+still allocate temporaries of their own.
+
 Two normalization routes are provided:
 
 * :func:`normalize_rows` divides each row by its sum.  This is what the
@@ -210,75 +218,92 @@ def _squared_distances(V: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _kernel_fwd(spec: AffinityKernelSpec, V: np.ndarray):
-    """omega(V_i, V_j) for every sample; returns (omega, aux-for-backward).
+def _kernel_fwd(spec: AffinityKernelSpec, V: np.ndarray, omega: np.ndarray):
+    """omega(V_i, V_j) for every sample, written into ``omega``; returns the
+    aux the backward pass needs.
 
     rbf specs must carry their bandwidth.  Overflow is left in the result
     as inf or nan; each caller checks and names it in its own terms.
     """
-    B, M, _ = V.shape
     if spec.variant == DIRAC_DELTA:
-        return np.broadcast_to(np.eye(M), (B, M, M)).copy(), None
+        np.copyto(omega, np.eye(V.shape[1]))
+        return None
     if spec.variant == EMBEDDED:
         E = V @ spec.theta.T
-        omega, inner_aux = _kernel_fwd(spec.inner, E)
-        return omega, (E, inner_aux)
+        return E, _kernel_fwd(spec.inner, E, omega)
     with np.errstate(over="ignore"):
         if spec.variant == RBF:
             h = float(spec.bandwidth)
-            return np.exp(-_squared_distances(V) / (2.0 * h * h)), None
-        G = V @ np.transpose(V, (0, 2, 1))
+            np.exp(-_squared_distances(V) / (2.0 * h * h), out=omega)
+            return None
+        np.matmul(V, np.transpose(V, (0, 2, 1)), out=omega)
         if spec.variant == DOT_PRODUCT:
-            return G, None
+            return None
         if spec.variant == GAUSSIAN:
-            return np.exp(G), None
+            np.exp(omega, out=omega)
+            return None
     raise ValueError(f"unknown kernel variant {spec.variant!r}")
 
 
-def _kernel_bwd(spec: AffinityKernelSpec, V: np.ndarray, omega: np.ndarray, aux, dOmega: np.ndarray):
-    """Gradient of the loss w.r.t. V given the gradient w.r.t. omega."""
+def _kernel_bwd(spec: AffinityKernelSpec, V, omega, aux, dOmega, A, dV, AtV):
+    """The gradient of the loss w.r.t. V given the gradient w.r.t. omega,
+    written into ``dV`` and returned.  ``A`` (like omega) and ``AtV`` (like
+    V) are scratch."""
     if spec.variant == DIRAC_DELTA:
-        return np.zeros_like(V)
+        dV.fill(0.0)
+        return dV
     if spec.variant == EMBEDDED:
         E, inner_aux = aux
-        dE = _kernel_bwd(spec.inner, E, omega, inner_aux, dOmega)
-        return dE @ spec.theta
+        dE = _kernel_bwd(spec.inner, E, omega, inner_aux, dOmega, A, np.empty_like(E), np.empty_like(E))
+        return np.matmul(dE, spec.theta, out=dV)
     if spec.variant == DOT_PRODUCT:
         A = dOmega
     elif spec.variant == GAUSSIAN:
-        A = dOmega * omega
+        np.multiply(dOmega, omega, out=A)
     elif spec.variant == RBF:
         h = float(spec.bandwidth)
         # d(omega)/d(squared distance) brings a factor -1/(2h^2).
-        T = dOmega * omega * (-0.5 / (h * h))
-        Bsym = T + np.transpose(T, (0, 2, 1))
+        np.multiply(dOmega, omega, out=A)
+        np.multiply(A, -0.5 / (h * h), out=A)
+        Bsym = A + np.transpose(A, (0, 2, 1))
         row = np.sum(Bsym, axis=2)
-        return 2.0 * (row[:, :, None] * V - Bsym @ V)
+        np.multiply(row[:, :, None], V, out=dV)
+        np.subtract(dV, np.matmul(Bsym, V, out=AtV), out=dV)
+        return np.multiply(2.0, dV, out=dV)
     else:
         raise ValueError(f"unknown kernel variant {spec.variant!r}")
     # Gram-based variants share one rule: dV = A V + A^T V.
-    return A @ V + np.transpose(A, (0, 2, 1)) @ V
+    np.matmul(A, V, out=dV)
+    np.matmul(np.transpose(A, (0, 2, 1)), V, out=AtV)
+    return np.add(dV, AtV, out=dV)
 
 
-def _rownorm_fwd(omega: np.ndarray):
-    """Row-normalize every sample; returns (P, row sums).
+def _rownorm_fwd(omega: np.ndarray, P: np.ndarray, C: np.ndarray):
+    """Row-normalize every sample into ``P``, which may be ``omega`` itself,
+    and the row sums into ``C``; returns (P, C).
 
     The first degenerate row (sum not above DEGENERATE_ROW_SUM, nan
     included) is reported with its sum.
     """
-    C = np.sum(omega, axis=2)
+    # np.add.reduce is np.sum without its Python wrapper, which adds about
+    # a sixth to a row sum at a network's sizes.
+    np.add.reduce(omega, axis=2, out=C)
     # A nan sum makes the minimum nan, so it fails the test too.
     if not C.min(initial=np.inf) > DEGENERATE_ROW_SUM:
         b, i = np.argwhere(~(C > DEGENERATE_ROW_SUM))[0]
         raise DegenerateRowError(int(i), float(C[b, i]))
-    return omega / C[:, :, None], C
+    np.divide(omega, C[:, :, None], out=P)
+    return P, C
 
 
-def _rownorm_bwd(dP: np.ndarray, P: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _rownorm_bwd(dP, P, C, q, dOmega):
+    """The gradient w.r.t. omega given dP, written into ``dOmega`` and
+    returned; ``q`` is (B, M, 1) scratch."""
     # P = omega / C with C the row sum, so each row's gradient is the
     # centered dP row rescaled: (dP_ij - sum_l dP_il P_il) / C_i.
-    q = np.sum(dP * P, axis=2, keepdims=True)
-    return (dP - q) / C[:, :, None]
+    np.add.reduce(np.multiply(dP, P, out=dOmega), axis=2, keepdims=True, out=q)
+    np.subtract(dP, q, out=dOmega)
+    return np.divide(dOmega, C[:, :, None], out=dOmega)
 
 
 def _flags_from_entries(entries: np.ndarray) -> dict:
@@ -367,7 +392,8 @@ def _affinities(V: np.ndarray, spec: AffinityKernelSpec) -> np.ndarray:
         spec = spec.inner
     if spec.variant == RBF and spec.bandwidth is None:
         spec = AffinityKernelSpec.rbf(median_bandwidth(FeatureField(V)))
-    omega, _ = _kernel_fwd(spec, V[None])
+    omega = np.empty((1, V.shape[0], V.shape[0]))
+    _kernel_fwd(spec, V[None], omega)
     K = np.where(_upper_triangle(V.shape[0]), omega[0], omega[0].T)
     if not np.isfinite(K).all():
         # After the mirroring the first bad entry in row-major order lies
@@ -391,7 +417,8 @@ def normalize_rows(K: KernelMatrix) -> KernelMatrix:
     Nonpositive sums are rejected too: flipping row signs is not a
     normalization.
     """
-    P, _ = _rownorm_fwd(K.entries[None])
+    omega = K.entries[None]
+    P, _ = _rownorm_fwd(omega, np.empty_like(omega), np.empty(omega.shape[:2]))
     return KernelMatrix.from_entries(P[0])
 
 

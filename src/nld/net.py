@@ -32,15 +32,18 @@ The trainer keeps all parameters in one flat float64 vector, and the
 writes every gradient in place into views of a second flat vector laid out
 the same way, so the update is one vector expression.
 
-The trainer also allocates one workspace per run (``_Workspace``): every
-trunk block's activations and output, and the backward pass's scratch,
-for its largest batch.  Each batch writes into the first rows of it.
-Allocated afresh per batch, those (B*M, H) arrays were freed at the top of
-the heap, glibc handed the pages back, and the next batch faulted them in
-again: a default proposed ``train`` op (256 samples, seed 5) took about
-39,600 minor page faults, and takes under 800 with the workspace.  A
-forward pass overwrites what the previous one left there, so the backward
-pass refuses a cache that a later forward pass on its workspace outdated.
+The trainer also allocates one workspace per run (``_Workspace``) for its
+largest batch: every trunk block's activations and output, the stage's
+kernels (omega, P and the row sums) and sub-block outputs, and the
+backward scratch of both.  Each batch writes into the first rows of it,
+and the stage hands the kernel core in ``kernels`` these buffers to write
+into.  Allocated afresh per batch, those (B*M, H) and (B, M, M) arrays
+were freed at the top of the heap, glibc handed the pages back, and the
+next batch faulted them in again: a default ``train`` op (256 samples,
+seed 5) took about 39,600 minor page faults proposed and 45,200 original,
+and takes about 540 and 620 with the workspace.  A forward pass
+overwrites what the previous one left there, so the backward pass refuses
+a cache that a later forward pass on its workspace outdated.
 """
 
 from __future__ import annotations
@@ -186,9 +189,11 @@ def _rows(X):
     return X.reshape(-1, X.shape[-1])
 
 
-def _per_position(X, W):
-    """X @ W at every position of a (B, M, c) batch, as one GEMM."""
-    return (_rows(X) @ W).reshape(*X.shape[:-1], W.shape[-1])
+def _per_position(X, W, out):
+    """X @ W at every position of a (B, M, c) batch, as one GEMM, written
+    into ``out`` and returned."""
+    np.matmul(_rows(X), W, out=_rows(out))
+    return out
 
 
 def _weight_grad(G, X, out):
@@ -243,55 +248,76 @@ def _block_bwd(W1, W2, gain, cache, G, gW1, gW2, input_grad):
     return dZ
 
 
-def _stage_fwd(stage: StageConfig, Ws, Z):
+def _stage_fwd(stage: StageConfig, Ws, Z, ws):
+    """The stage on the (B, M, d) batch Z, written into the workspace ``ws``;
+    returns the output and the backward cache, views into ``ws``."""
+    B = len(Z)
+    finite = ws.finite[:B]
+    kernels = [tuple(a[:B] for a in k) for k in ws.kernels]
+    cur = Z
     if stage.formulation == PROPOSED:
-        omega, kaux = _kernel_fwd(stage.kernel, Z)
-        if not np.isfinite(omega).all():
+        omega, P, C = kernels[0]
+        kaux = _kernel_fwd(stage.kernel, Z, omega)
+        if not np.isfinite(omega, out=finite).all():
             raise DivergenceError("stage affinity overflowed")
-        P, C = _rownorm_fwd(omega)
-        cur = Z
+        _rownorm_fwd(omega, P, C)
         Zs = [Z]
         Ds = []
-        for W in Ws:
-            D = P @ cur - cur
-            cur = cur + _per_position(D, _transposed(W))
+        for W, (D, nxt) in zip(Ws, ws.steps):
+            D, nxt = D[:B], nxt[:B]
+            np.matmul(P, cur, out=D)
+            np.subtract(D, cur, out=D)
+            cur = np.add(cur, _per_position(D, _transposed(W), nxt), out=nxt)
             Zs.append(cur)
             Ds.append(D)
         return cur, (omega, kaux, P, C, Zs, Ds)
     subs = []
-    cur = Z
-    for W in Ws:
-        omega, kaux = _kernel_fwd(stage.kernel, cur)
-        if not np.isfinite(omega).all():
+    for W, (omega, P, C), (Y, nxt) in zip(Ws, kernels, ws.steps):
+        Y, nxt = Y[:B], nxt[:B]
+        kaux = _kernel_fwd(stage.kernel, cur, omega)
+        if not np.isfinite(omega, out=finite).all():
             raise DivergenceError("stage affinity overflowed")
-        P, C = _rownorm_fwd(omega)
-        Y = P @ cur
+        _rownorm_fwd(omega, P, C)
+        np.matmul(P, cur, out=Y)
         subs.append((cur, omega, kaux, P, C, Y))
-        cur = cur + _per_position(Y, _transposed(W))
+        cur = np.add(cur, _per_position(Y, _transposed(W), nxt), out=nxt)
     return cur, subs
 
 
-def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs):
-    """Writes the n-th weight gradient into ``gWs[n]`` and returns dZ."""
+def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs, ws):
+    """Writes the n-th weight gradient into ``gWs[n]`` and returns dZ, written
+    into the stage scratch of the workspace ``ws``."""
+    B = len(G)
+    dD, ZT, PT, dP, dOmega, q, A, dV, AtV = (a[:B] for a in ws.stage_scratch)
+    Gs = [g[:B] for g in ws.stage_grads]
     if stage.formulation == PROPOSED:
         omega, kaux, P, C, Zs, Ds = cache
         X = Zs[0]
-        dP_total = np.zeros_like(P)
-        PT = _transposed(P)
+        # dP sums from zeros, so a -0.0 term comes out +0.0; dOmega holds
+        # each term until the row normalization's backward overwrites it.
+        dP.fill(0.0)
+        np.copyto(PT, P.swapaxes(-1, -2))
         for n in range(len(Ws) - 1, -1, -1):
             _weight_grad(G, Ds[n], gWs[n])
-            dD = _per_position(G, Ws[n])
-            dP_total += dD @ _transposed(Zs[n])
-            G = G + PT @ dD - dD
-        dOmega = _rownorm_bwd(dP_total, P, C)
-        return G + _kernel_bwd(stage.kernel, X, omega, kaux, dOmega)
+            _per_position(G, Ws[n], dD)
+            np.copyto(ZT, Zs[n].swapaxes(-1, -2))
+            np.add(dP, np.matmul(dD, ZT, out=dOmega), out=dP)
+            nxt = Gs[n % 2]
+            np.add(G, np.matmul(PT, dD, out=nxt), out=nxt)
+            G = np.subtract(nxt, dD, out=nxt)
+        _rownorm_bwd(dP, P, C, q, dOmega)
+        # The last sub-block (n = 0) left G in Gs[0].
+        return np.add(G, _kernel_bwd(stage.kernel, X, omega, kaux, dOmega, A, dV, AtV), out=Gs[1])
     for n in range(len(Ws) - 1, -1, -1):
         Zn, omega, kaux, P, C, Y = cache[n]
         _weight_grad(G, Y, gWs[n])
-        dY = _per_position(G, Ws[n])
-        dP = dY @ _transposed(Zn)
-        dOmega = _rownorm_bwd(dP, P, C)
-        G = G + np.transpose(P, (0, 2, 1)) @ dY + _kernel_bwd(stage.kernel, Zn, omega, kaux, dOmega)
+        dY = _per_position(G, Ws[n], dD)
+        np.copyto(ZT, Zn.swapaxes(-1, -2))
+        np.matmul(dY, ZT, out=dP)
+        _rownorm_bwd(dP, P, C, q, dOmega)
+        nxt = Gs[n % 2]
+        np.add(G, np.matmul(np.transpose(P, (0, 2, 1)), dY, out=nxt), out=nxt)
+        G = np.add(nxt, _kernel_bwd(stage.kernel, Zn, omega, kaux, dOmega, A, dV, AtV), out=nxt)
     return G
 
 
@@ -303,12 +329,13 @@ def _stage_param_names(config: NetworkConfig) -> list:
 
 
 class _Workspace:
-    """Trunk buffers for batches of up to ``capacity`` samples.
+    """Trunk and stage buffers for batches of up to ``capacity`` samples.
 
     ``train`` allocates one per run, and every batch's forward and backward
-    pass writes into it.  A forward pass overwrites what the previous one
-    left, so it moves ``generation`` on and the backward pass refuses a cache
-    from an earlier generation.
+    pass writes into it: the trunk's activations, the stage's kernels and
+    sub-block outputs, and the scratch of both backward passes.  A forward
+    pass overwrites what the previous one left, so it moves ``generation``
+    on and the backward pass refuses a cache from an earlier generation.
     """
 
     def __init__(self, config: NetworkConfig, capacity: int):
@@ -330,6 +357,29 @@ class _Workspace:
             (np.empty((rows, d)), np.empty((rows, H)), np.empty((rows, H)), np.empty((rows, d)), scratch)
             for _ in range(config.trunk_blocks)
         ]
+        stage = config.stage
+        if stage is None:
+            return
+        M = config.num_positions
+
+        def stack(*shape, dtype=np.float64):
+            return np.empty((capacity, *shape), dtype=dtype)
+
+        # The stage's kernels (omega, P and the row sums C): one for the
+        # proposed stage, one per sub-block for the original.  Sub-block n
+        # writes its step (D_n or Y_n) and its output Z_{n+1} into steps[n].
+        n_kernels = 1 if stage.formulation == PROPOSED else stage.sub_blocks
+        self.kernels = [(stack(M, M), stack(M, M), stack(M)) for _ in range(n_kernels)]
+        self.steps = [(stack(M, d), stack(M, d)) for _ in range(stage.sub_blocks)]
+        self.finite = stack(M, M, dtype=bool)
+        # The backward scratch the sub-blocks share: dD (or dY), Z_n^T,
+        # P^T, the dP accumulator, dOmega, q, and the kernel backward's A
+        # and its two products; and two input gradients that alternate.
+        self.stage_scratch = (
+            stack(M, d), stack(d, M), stack(M, M), stack(M, M), stack(M, M), stack(M, 1),
+            stack(M, M), stack(M, d), stack(M, d),
+        )
+        self.stage_grads = (stack(M, d), stack(M, d))
 
 
 def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: _Workspace):
@@ -353,7 +403,7 @@ def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: _Work
                 raise DivergenceError(f"non-finite activations after block {b}")
             if stage is not None and b == stage.placement:
                 Ws = [params[name] for name in _stage_param_names(config)]
-                Z, sc = _stage_fwd(stage, Ws, Z.reshape(X.shape))
+                Z, sc = _stage_fwd(stage, Ws, Z.reshape(X.shape), ws)
                 trail.append(("stage", b, sc))
                 if not np.isfinite(Z).all():
                     raise DivergenceError("non-finite activations after stage 0")
@@ -395,7 +445,7 @@ def _backward_batch(
             names = _stage_param_names(config)
             Ws = [params[name] for name in names]
             G = G.reshape(len(pooled), M, -1)
-            G = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in names])
+            G = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in names], cache["workspace"])
         else:
             W1 = params[f"block{idx}.W1"]
             W2 = params[f"block{idx}.W2"]
@@ -500,22 +550,6 @@ def generate_task(M: int, d: int, num_classes: int, num_samples: int, seed: int)
         values=values,
         labels=tuple(labels),
     )
-
-
-def agreement_count(values: np.ndarray, d: int) -> int:
-    """How many (row, channel) cells agree in sign across the two blocks."""
-    M = values.shape[0]
-    a = values[:d, :d] >= 0.0
-    b = values[M - d :, :d] >= 0.0
-    return int(np.sum(a == b))
-
-
-def label_from_field(values: np.ndarray, d: int, num_classes: int) -> int:
-    """Exact oracle: invert the planted agreement level."""
-    k = agreement_count(values, d)
-    levels = _agreement_levels(num_classes, d)
-    diffs = [abs(k - lv) for lv in levels]
-    return int(np.argmin(diffs))
 
 
 # ---------------------------------------------------------------------------

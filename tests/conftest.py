@@ -89,3 +89,20 @@ def net_gradients(config, params, X, labels):
 def flat_grads(params):
     """Gradient views into one fresh flat vector laid out like ``params``."""
     return nld.net._flat_views(params, np.empty(sum(np.size(v) for v in params.values())))
+
+
+def agreement_count(values, d):
+    """How many (row, channel) cells agree in sign across the two blocks of
+    a ``generate_task`` field."""
+    M = values.shape[0]
+    a = values[:d, :d] >= 0.0
+    b = values[M - d :, :d] >= 0.0
+    return int(np.sum(a == b))
+
+
+def label_from_field(values, d, num_classes):
+    """Exact oracle for ``generate_task``: invert the planted agreement level."""
+    k = agreement_count(values, d)
+    levels = nld.net._agreement_levels(num_classes, d)
+    diffs = [abs(k - lv) for lv in levels]
+    return int(np.argmin(diffs))

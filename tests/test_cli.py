@@ -833,8 +833,9 @@ def test_spectrum_checkpoint_without_stage_tensors_fails(tmp_path):
         ("matrix_csv", np.array([[1.0, np.nan], [np.nan, 2.0]]), "matrix has non-finite entries"),
         ("checkpoint", np.ones((2, 3)), "stage0.W0 is 2 rows x 3 cols, not square"),
         ("checkpoint", np.array([[1.0, np.inf], [0.0, 1.0]]), "stage0.W0 has non-finite entries"),
+        ("checkpoint", np.zeros((0, 0)), "stage0.W0 has no entries"),
     ],
-    ids=["csv_nan", "checkpoint_not_square", "checkpoint_inf"],
+    ids=["csv_nan", "checkpoint_not_square", "checkpoint_inf", "checkpoint_empty"],
 )
 def test_spectrum_malformed_matrix_is_unreadable_input(tmp_path, kind, target, message):
     if kind == "matrix_csv":

@@ -22,7 +22,7 @@ from nld import (
     symmetric_stochastic_kernel,
 )
 
-from nld.net import StageConfig, _stage_fwd
+from nld.net import NetworkConfig, StageConfig, _stage_fwd, _Workspace
 
 from conftest import make_field
 
@@ -279,7 +279,8 @@ def test_net_stage_uses_the_same_affinity():
     f = make_field(53, 9, 3)
     spec = AffinityKernelSpec.gaussian()
     stage = StageConfig("proposed", sub_blocks=1, kernel=spec, placement=0)
-    _, cache = _stage_fwd(stage, [0.1 * np.eye(3)], f.values[None])
+    ws = _Workspace(NetworkConfig(9, 3, 2, 1, 1, stage=stage), 1)
+    _, cache = _stage_fwd(stage, [0.1 * np.eye(3)], f.values[None], ws)
     omega = cache[0][0]
     # build_kernel_matrix keeps the core's upper triangle and mirrors it.
     assert np.array_equal(np.triu(omega), np.triu(build_kernel_matrix(f, spec).entries))

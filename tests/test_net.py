@@ -17,14 +17,12 @@ from nld import (
     SplitMix64,
     StageConfig,
     TrainingHistory,
-    agreement_count,
     checkpoint_bytes,
     checkpoint_from_bytes,
     derive_seed,
     extract_stage_spectra,
     generate_task,
     init_params,
-    label_from_field,
     param_names,
     train,
 )
@@ -32,7 +30,7 @@ from nld import net
 from nld.cli import _hyper_from, _net_config_from, _task_from, resolve_config
 from nld.net import _block_bwd, _block_fwd, softmax_cross_entropy
 
-from conftest import flat_grads, net_forward, net_gradients, net_loss
+from conftest import agreement_count, flat_grads, label_from_field, net_forward, net_gradients, net_loss
 
 
 def small_config(stage=None, trunk_blocks=2, M=5, d=2, C=2, H=3):
@@ -679,20 +677,20 @@ def assert_matches_einsum(got, spec, A, B):
     assert np.all(np.abs(got - want) <= bound)
 
 
-def stage_backward_with_row_gradient(stage, Ws, cache, G):
+def stage_backward_with_row_gradient(stage, Ws, cache, G, ws):
     """``_stage_bwd``'s weight gradients, and the dP it hands to the row
     normalization's backward (one sub-block, so one dP)."""
     seen = []
     rownorm_bwd = net._rownorm_bwd
 
-    def spy(dP, P, C):
+    def spy(dP, *rest):
         seen.append(dP.copy())
-        return rownorm_bwd(dP, P, C)
+        return rownorm_bwd(dP, *rest)
 
     gWs = [np.empty_like(W) for W in Ws]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(net, "_rownorm_bwd", spy)
-        net._stage_bwd(stage, Ws, cache, G, gWs)
+        net._stage_bwd(stage, Ws, cache, G, gWs, ws)
     (dP,) = seen
     return gWs, dP
 
@@ -731,9 +729,10 @@ def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
     assert gW1.shape == (H, d) and gW2.shape == (d, H)
 
     W = ints((d, d))
-    for stage in (proposed_stage(), original_stage()):
-        _, scache = net._stage_fwd(stage, [W], Z)
-        (gW,), dP = stage_backward_with_row_gradient(stage, [W], scache, G)
+    for stage in (proposed_stage(placement=0), original_stage(placement=0)):
+        ws = net._Workspace(NetworkConfig(M, d, 3, 1, H, stage=stage), B)
+        _, scache = net._stage_fwd(stage, [W], Z, ws)
+        (gW,), dP = stage_backward_with_row_gradient(stage, [W], scache, G, ws)
         # The proposed step adds D W^T with D = P Z - Z (cache slot 5); the
         # original one adds Y W^T with Y = P Z (slot 5 of its sub-block).
         step = scache[5][0] if stage.formulation == "proposed" else scache[0][5]
@@ -799,8 +798,10 @@ def test_backward_writes_every_gradient_into_the_flat_buffer(stage):
     assert gflat.tobytes() == np.concatenate([separate[k].ravel() for k in params]).tobytes()
 
 
-def test_a_later_forward_on_the_workspace_makes_a_cache_stale():
-    config = small_config(proposed_stage(n=2), trunk_blocks=3)
+@pytest.mark.parametrize("stage_factory", [proposed_stage, original_stage], ids=["proposed", "original"])
+def test_a_later_forward_on_the_workspace_makes_a_cache_stale(stage_factory):
+    # The stage's cache is made of workspace views as well as the trunk's.
+    config = small_config(stage_factory(n=2), trunk_blocks=3)
     params = init_params(config, 4)
     ws = net._Workspace(config, 6)
     X = SplitMix64(12).normals((6, config.num_positions, config.num_channels))
@@ -819,10 +820,10 @@ def test_a_later_forward_on_the_workspace_makes_a_cache_stale():
         net._forward_batch(config, params, np.zeros((7,) + X.shape[1:]), ws)
 
 
-def warm_step_peak_bytes(hidden_channels, B=32):
+def warm_step_peak_bytes(raw, B=32):
     """Peak traced memory of one training step on a warm workspace: forward,
-    loss and backward of a batch of B at the default train config."""
-    config, _, _ = cli_train_setup({"net": {"hidden_channels": hidden_channels}})
+    loss and backward of a batch of B at the train config ``raw``."""
+    config, _, _ = cli_train_setup(raw)
     theta, params = net._flat_params(init_params(config, 5))
     grads = net._flat_views(params, np.empty_like(theta))
     X = SplitMix64(1).normals((B, config.num_positions, config.num_channels))
@@ -848,9 +849,25 @@ def test_a_warm_step_allocates_nothing_of_the_hidden_width():
     # the hidden layer from 32 to 256 channels adds less to the step's
     # peak than one (B*M, 224) float64 array would.
     B = 32
-    narrow, wide = warm_step_peak_bytes(32, B), warm_step_peak_bytes(256, B)
+    narrow = warm_step_peak_bytes({"net": {"hidden_channels": 32}}, B)
+    wide = warm_step_peak_bytes({"net": {"hidden_channels": 256}}, B)
     M = cli_train_setup({})[0].num_positions
     assert wide - narrow < B * M * 224 * 8
+
+
+@pytest.mark.parametrize("formulation", ["proposed", "original"])
+def test_a_warm_step_allocates_nothing_of_the_position_count(formulation):
+    # The stage's kernels, its sub-block outputs and its backward scratch
+    # live in the workspace too, so growing the field from 10 to 40
+    # positions adds less to an N=4 step's peak than one (B, 40, 40)
+    # float64 array would.
+    B = 32
+
+    def peak(M):
+        stage = {"formulation": formulation, "sub_blocks": 4}
+        return warm_step_peak_bytes({"task": {"num_positions": M}, "net": {"stage": stage}}, B)
+
+    assert peak(40) - peak(10) < B * 40 * 40 * 8
 
 
 def one_hot_softmax_cross_entropy(logits, labels):
