@@ -23,9 +23,10 @@ two such row matrices, and the kernel gradient is a batched matmul.  At
 these small sizes OpenBLAS is faster on a contiguous operand than on a
 transposed view, by more than a copy costs, so the forward pass copies
 each weight's transpose once, and the stage's backward pass copies P^T once
-and each Z_n^T once per sub-block.  (The kernel Gram V V^T in
-``kernels`` keeps its transposed view: numpy runs it as a symmetric
-rank-k update, which makes it exactly symmetric.)
+and each Z_n^T once per sub-block.  The kernel Gram V V^T in ``kernels``
+copies V^T too: on the transposed view numpy ran one ``dsyrk`` per
+sample, which made omega exactly symmetric and cost twice the copy and
+the GEMM together (see ``kernels._kernel_fwd``).
 
 The trainer keeps all parameters in one flat float64 vector, and the
 ``params`` dict it passes around holds views into it.  The backward pass
@@ -44,6 +45,13 @@ seed 5) took about 39,600 minor page faults proposed and 45,200 original,
 and takes about 540 and 620 with the workspace.  A forward pass
 overwrites what the previous one left there, so the backward pass refuses
 a cache that a later forward pass on its workspace outdated.
+
+At B = 32 most of a step's numpy calls see a few thousand elements or
+fewer, so what a call costs besides its arithmetic counts.  The views a
+batch reads (the buffers cut to its size, their row and transposed forms)
+are built once per batch size (``_Batch``), the parameter names once per
+run, and reductions call their ufunc directly rather than through the
+ndarray method's Python wrapper.
 """
 
 from __future__ import annotations
@@ -189,19 +197,6 @@ def _rows(X):
     return X.reshape(-1, X.shape[-1])
 
 
-def _per_position(X, W, out):
-    """X @ W at every position of a (B, M, c) batch, as one GEMM, written
-    into ``out`` and returned."""
-    np.matmul(_rows(X), W, out=_rows(out))
-    return out
-
-
-def _weight_grad(G, X, out):
-    """sum over (b, m) of G[b, m]^T X[b, m], the gradient of a per-position
-    weight, written into ``out``."""
-    np.matmul(_rows(G).T, _rows(X), out=out)
-
-
 def _transposed(A):
     """A with its last two axes swapped, as a C-contiguous copy: the layout
     OpenBLAS multiplies fastest at these sizes (see the module docstring)."""
@@ -209,13 +204,12 @@ def _transposed(A):
 
 
 def _block_fwd(W1, W2, gain, Z, buffers):
-    """One residual block on the (B*M, d) rows of Z, written into the first
-    rows of ``buffers`` (see ``_Workspace``).  Returns the output rows
-    and the backward cache, views into the buffers."""
+    """One residual block on the (B*M, d) rows of Z, written into
+    ``buffers``: the block's activations, output and backward scratch, cut
+    to exactly those rows (see ``_Batch``).  Returns the output rows and
+    the backward cache, views into the buffers."""
     Z = _rows(Z)
-    n = len(Z)
-    *activations, scratch = buffers
-    A1, P1, A2, out = (a[:n] for a in activations)
+    A1, P1, A2, out, scratch = buffers
     np.multiply(gain, Z, out=A1)
     np.maximum(A1, 0.0, out=A1)
     np.matmul(A1, _transposed(W1), out=P1)
@@ -223,21 +217,23 @@ def _block_fwd(W1, W2, gain, Z, buffers):
     np.maximum(A2, 0.0, out=A2)
     np.matmul(A2, _transposed(W2), out=out)
     np.add(Z, out, out=out)
-    return out, (Z, A1, P1, A2, tuple(a[:n] for a in scratch))
+    return out, (Z, A1, P1, A2, scratch)
 
 
 def _block_bwd(W1, W2, gain, cache, G, gW1, gW2, input_grad):
     """Writes the weight gradients for the rows of G into ``gW1`` and
     ``gW2``, and returns dZ, written into the cache's scratch; dZ is None
-    without ``input_grad``, as for the first block, whose input is the data."""
+    without ``input_grad``, as for the first block, whose input is the data.
+    A weight gradient sums G[b, m]^T X[b, m] over every position: one GEMM
+    of two row matrices."""
     Z, A1, P1, A2, (dP1, relu_h, dA1, relu_d, dZ) = cache
     G = _rows(G)
-    _weight_grad(G, A2, gW2)
+    np.matmul(G.T, A2, out=gW2)
     np.matmul(G, W2, out=dP1)
     np.greater(P1, 0, out=relu_h)
     np.multiply(dP1, relu_h, out=dP1)
     np.multiply(dP1, gain, out=dP1)
-    _weight_grad(dP1, A1, gW1)
+    np.matmul(dP1.T, A1, out=gW1)
     if not input_grad:
         return None
     np.matmul(dP1, W1, out=dA1)
@@ -251,73 +247,75 @@ def _block_bwd(W1, W2, gain, cache, G, gW1, gW2, input_grad):
 def _stage_fwd(stage: StageConfig, Ws, Z, ws):
     """The stage on the (B, M, d) batch Z, written into the workspace ``ws``;
     returns the output and the backward cache, views into ``ws``."""
-    B = len(Z)
-    finite = ws.finite[:B]
-    kernels = [tuple(a[:B] for a in k) for k in ws.kernels]
+    v = ws.batch(len(Z))
     cur = Z
     if stage.formulation == PROPOSED:
-        omega, P, C = kernels[0]
-        kaux = _kernel_fwd(stage.kernel, Z, omega)
-        if not np.isfinite(omega, out=finite).all():
+        omega, P, C = v.kernels[0]
+        kaux = _kernel_fwd(stage.kernel, Z, omega, v.gram)
+        if not np.isfinite(omega, out=v.finite).all():
             raise DivergenceError("stage affinity overflowed")
         _rownorm_fwd(omega, P, C)
         Zs = [Z]
-        Ds = []
-        for W, (D, nxt) in zip(Ws, ws.steps):
-            D, nxt = D[:B], nxt[:B]
+        for W, (D, nxt), (D_rows, nxt_rows) in zip(Ws, v.steps, v.step_rows):
             np.matmul(P, cur, out=D)
             np.subtract(D, cur, out=D)
-            cur = np.add(cur, _per_position(D, _transposed(W), nxt), out=nxt)
+            np.matmul(D_rows, _transposed(W), out=nxt_rows)
+            cur = np.add(cur, nxt, out=nxt)
             Zs.append(cur)
-            Ds.append(D)
-        return cur, (omega, kaux, P, C, Zs, Ds)
+        return cur, (omega, kaux, P, C, Zs, v.updates)
     subs = []
-    for W, (omega, P, C), (Y, nxt) in zip(Ws, kernels, ws.steps):
-        Y, nxt = Y[:B], nxt[:B]
-        kaux = _kernel_fwd(stage.kernel, cur, omega)
-        if not np.isfinite(omega, out=finite).all():
+    for W, (omega, P, C), (Y, nxt), (Y_rows, nxt_rows) in zip(Ws, v.kernels, v.steps, v.step_rows):
+        kaux = _kernel_fwd(stage.kernel, cur, omega, v.gram)
+        if not np.isfinite(omega, out=v.finite).all():
             raise DivergenceError("stage affinity overflowed")
         _rownorm_fwd(omega, P, C)
         np.matmul(P, cur, out=Y)
         subs.append((cur, omega, kaux, P, C, Y))
-        cur = np.add(cur, _per_position(Y, _transposed(W), nxt), out=nxt)
+        np.matmul(Y_rows, _transposed(W), out=nxt_rows)
+        cur = np.add(cur, nxt, out=nxt)
     return cur, subs
 
 
 def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs, ws):
     """Writes the n-th weight gradient into ``gWs[n]`` and returns dZ, written
-    into the stage scratch of the workspace ``ws``."""
-    B = len(G)
-    dD, ZT, PT, dP, dOmega, q, A, dV, AtV = (a[:B] for a in ws.stage_scratch)
-    Gs = [g[:B] for g in ws.stage_grads]
+    into the stage scratch of the workspace ``ws``.  The cache holds views
+    of ``ws.batch(B)``, so the row and transposed forms of its sub-block
+    updates and kernels are read from there."""
+    v = ws.batch(len(G))
+    dD, ZT, PT, dP, dOmega, q, A, dV, AtV = v.stage_scratch
+    dD_rows = v.stage_scratch_rows
+    Gs, Gs_rows = v.stage_grads, v.stage_grad_rows
+    G_rows = _rows(G)
     if stage.formulation == PROPOSED:
-        omega, kaux, P, C, Zs, Ds = cache
+        omega, kaux, P, C, Zs, _ = cache
         X = Zs[0]
         # dP sums from zeros, so a -0.0 term comes out +0.0; dOmega holds
         # each term until the row normalization's backward overwrites it.
         dP.fill(0.0)
         np.copyto(PT, P.swapaxes(-1, -2))
         for n in range(len(Ws) - 1, -1, -1):
-            _weight_grad(G, Ds[n], gWs[n])
-            _per_position(G, Ws[n], dD)
+            np.matmul(G_rows.T, v.step_rows[n][0], out=gWs[n])
+            np.matmul(G_rows, Ws[n], out=dD_rows)
             np.copyto(ZT, Zs[n].swapaxes(-1, -2))
             np.add(dP, np.matmul(dD, ZT, out=dOmega), out=dP)
             nxt = Gs[n % 2]
             np.add(G, np.matmul(PT, dD, out=nxt), out=nxt)
             G = np.subtract(nxt, dD, out=nxt)
+            G_rows = Gs_rows[n % 2]
         _rownorm_bwd(dP, P, C, q, dOmega)
         # The last sub-block (n = 0) left G in Gs[0].
         return np.add(G, _kernel_bwd(stage.kernel, X, omega, kaux, dOmega, A, dV, AtV), out=Gs[1])
     for n in range(len(Ws) - 1, -1, -1):
-        Zn, omega, kaux, P, C, Y = cache[n]
-        _weight_grad(G, Y, gWs[n])
-        dY = _per_position(G, Ws[n], dD)
+        Zn, omega, kaux, P, C, _ = cache[n]
+        np.matmul(G_rows.T, v.step_rows[n][0], out=gWs[n])
+        np.matmul(G_rows, Ws[n], out=dD_rows)
         np.copyto(ZT, Zn.swapaxes(-1, -2))
-        np.matmul(dY, ZT, out=dP)
+        np.matmul(dD, ZT, out=dP)
         _rownorm_bwd(dP, P, C, q, dOmega)
         nxt = Gs[n % 2]
-        np.add(G, np.matmul(np.transpose(P, (0, 2, 1)), dY, out=nxt), out=nxt)
+        np.add(G, np.matmul(v.kernels_T[n], dD, out=nxt), out=nxt)
         G = np.add(nxt, _kernel_bwd(stage.kernel, Zn, omega, kaux, dOmega, A, dV, AtV), out=nxt)
+        G_rows = Gs_rows[n % 2]
     return G
 
 
@@ -328,18 +326,31 @@ def _stage_param_names(config: NetworkConfig) -> list:
     return [f"stage0.W{n}" for n in range(config.stage.sub_blocks)]
 
 
+def _cut(buffers, n):
+    """The first n rows of every array in the nested tuples ``buffers``."""
+    if isinstance(buffers, np.ndarray):
+        return buffers[:n]
+    return tuple(_cut(b, n) for b in buffers)
+
+
 class _Workspace:
     """Trunk and stage buffers for batches of up to ``capacity`` samples.
 
     ``train`` allocates one per run, and every batch's forward and backward
     pass writes into it: the trunk's activations, the stage's kernels and
-    sub-block outputs, and the scratch of both backward passes.  A forward
-    pass overwrites what the previous one left, so it moves ``generation``
-    on and the backward pass refuses a cache from an earlier generation.
+    sub-block outputs, and the scratch of both backward passes.  A pass
+    reads them through ``batch(B)``, views cut to its B samples, built on
+    the first batch of that size and reused.  A forward pass overwrites
+    what the previous one left, so it moves ``generation`` on and the
+    backward pass refuses a cache from an earlier generation.
+
+    The parameter names a pass looks up are resolved here too, once per
+    run; the tensors are not: ``params`` is read afresh on every pass.
     """
 
     def __init__(self, config: NetworkConfig, capacity: int):
-        rows = capacity * config.num_positions
+        M = config.num_positions
+        rows = capacity * M
         d, H = config.num_channels, config.hidden_channels
         # The backward scratch: dP1, the two relu masks, dA1, dZ.  The
         # blocks share it, because the backward pass runs them one at a time.
@@ -350,8 +361,12 @@ class _Workspace:
             np.empty((rows, d), dtype=bool),
             np.empty((rows, d)),
         )
+        self.config = config
         self.capacity = capacity
         self.generation = 0
+        self._batches = {}
+        self.block_names = [(f"block{b}.W1", f"block{b}.W2") for b in range(config.trunk_blocks)]
+        self.stage_names = _stage_param_names(config)
         # Each block's activations A1, P1, A2 and its output, then the scratch.
         self.blocks = [
             (np.empty((rows, d)), np.empty((rows, H)), np.empty((rows, H)), np.empty((rows, d)), scratch)
@@ -360,7 +375,6 @@ class _Workspace:
         stage = config.stage
         if stage is None:
             return
-        M = config.num_positions
 
         def stack(*shape, dtype=np.float64):
             return np.empty((capacity, *shape), dtype=dtype)
@@ -372,6 +386,9 @@ class _Workspace:
         self.kernels = [(stack(M, M), stack(M, M), stack(M)) for _ in range(n_kernels)]
         self.steps = [(stack(M, d), stack(M, d)) for _ in range(stage.sub_blocks)]
         self.finite = stack(M, M, dtype=bool)
+        # The Gram's V^T, at the width the affinity is evaluated at.
+        kernel = stage.kernel
+        self.gram = stack(kernel.theta.shape[0] if kernel.variant == EMBEDDED else d, M)
         # The backward scratch the sub-blocks share: dD (or dY), Z_n^T,
         # P^T, the dP accumulator, dOmega, q, and the kernel backward's A
         # and its two products; and two input gradients that alternate.
@@ -381,33 +398,82 @@ class _Workspace:
         )
         self.stage_grads = (stack(M, d), stack(M, d))
 
+    def batch(self, B: int) -> "_Batch":
+        """The views of a batch of B samples, built on the first call for B."""
+        views = self._batches.get(B)
+        if views is None:
+            views = self._batches[B] = _Batch(self, B)
+        return views
+
+
+class _Batch:
+    """A workspace's buffers cut to a batch of B samples, with the row,
+    batch and transposed views a pass reads.  ``blocks``, ``kernels`` and
+    ``steps`` keep the workspace's layout, the trunk's cut to B*M rows.
+    Building them all takes about 37 us for a proposed N=4 stage and 50 us
+    for an original one (B = 32, default net, 2-core Xeon), against a
+    whole step of 0.5 to 0.9 ms; a pass would otherwise redo part of it."""
+
+    def __init__(self, ws: _Workspace, B: int):
+        config = ws.config
+        M, d = config.num_positions, config.num_channels
+        self.blocks = [_cut(block, B * M) for block in ws.blocks]
+        # What the pooling reads, as (B, M, d): the last trunk block's
+        # output, or the stage's when the stage comes last.
+        output = self.blocks[-1][3]
+        stage = config.stage
+        if stage is not None:
+            self.stage_input = self.blocks[stage.placement][3].reshape(B, M, d)
+            self.kernels = [_cut(k, B) for k in ws.kernels]
+            self.kernels_T = [P.swapaxes(-1, -2) for _, P, _ in self.kernels]
+            self.steps = [_cut(step, B) for step in ws.steps]
+            self.step_rows = [tuple(_rows(a) for a in step) for step in self.steps]
+            # The proposed stage's cache lists each sub-block's D_n.
+            self.updates = [D for D, _ in self.steps]
+            # The trunk block after the stage reads the stage output as rows.
+            self.stage_output_rows = self.step_rows[-1][1]
+            self.finite = ws.finite[:B]
+            self.gram = ws.gram[:B]
+            self.stage_scratch = _cut(ws.stage_scratch, B)
+            self.stage_scratch_rows = _rows(self.stage_scratch[0])
+            self.stage_grads = _cut(ws.stage_grads, B)
+            self.stage_grad_rows = tuple(_rows(g) for g in self.stage_grads)
+            if stage.placement == config.trunk_blocks - 1:
+                output = self.stage_output_rows
+        self.output = output.reshape(B, M, d)
+
 
 def _forward_batch(config: NetworkConfig, params: dict, X: np.ndarray, ws: _Workspace):
     """The forward pass of the (B, M, d) batch X into the workspace ``ws``;
     returns (logits, cache), the cache ``_backward_batch`` reads.  The trunk
     runs on the (B*M, d) rows of the batch; the stage and the pooling see
     (B, M, d) views of them."""
-    if len(X) > ws.capacity:
-        raise ValueError(f"batch of {len(X)} samples does not fit a workspace for {ws.capacity}")
+    B = len(X)
+    if B > ws.capacity:
+        raise ValueError(f"batch of {B} samples does not fit a workspace for {ws.capacity}")
     ws.generation += 1
+    v = ws.batch(B)
     stage = config.stage
+    placement = -1 if stage is None else stage.placement
     Z = X
     trail = []
     # Overflow surfaces as the explicit divergence checks below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(config.trunk_blocks):
-            W1, W2 = params[f"block{b}.W1"], params[f"block{b}.W2"]
-            Z, bc = _block_fwd(W1, W2, config.block_gain, Z, ws.blocks[b])
+        for b, ((w1, w2), buffers) in enumerate(zip(ws.block_names, v.blocks)):
+            Z, bc = _block_fwd(params[w1], params[w2], config.block_gain, Z, buffers)
             trail.append(("block", b, bc))
             if not np.isfinite(Z).all():
                 raise DivergenceError(f"non-finite activations after block {b}")
-            if stage is not None and b == stage.placement:
-                Ws = [params[name] for name in _stage_param_names(config)]
-                Z, sc = _stage_fwd(stage, Ws, Z.reshape(X.shape), ws)
+            if b == placement:
+                Ws = [params[name] for name in ws.stage_names]
+                Z, sc = _stage_fwd(stage, Ws, v.stage_input, ws)
                 trail.append(("stage", b, sc))
                 if not np.isfinite(Z).all():
                     raise DivergenceError("non-finite activations after stage 0")
-        pooled = Z.reshape(X.shape).mean(axis=1)
+                Z = v.stage_output_rows
+        # The mean over positions, as ndarray.mean computes it.
+        pooled = np.add.reduce(v.output, axis=1)
+        np.true_divide(pooled, config.num_positions, out=pooled)
         logits = pooled @ params["head.A"].T + params["head.b"]
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits")
@@ -432,34 +498,32 @@ def _backward_batch(
     """
     if cache.get("params") is not params:
         raise ValueError("stale cache: it was produced by a different parameter set")
-    if cache["generation"] != cache["workspace"].generation:
+    ws = cache["workspace"]
+    if cache["generation"] != ws.generation:
         raise ValueError("stale cache: a later forward pass on its workspace overwrote it")
     pooled = cache["pooled"]
     M = config.num_positions
     np.matmul(dlogits.T, pooled, out=grads["head.A"])
-    np.sum(dlogits, axis=0, out=grads["head.b"])
+    np.add.reduce(dlogits, axis=0, out=grads["head.b"])
     dpooled = dlogits @ params["head.A"]
     G = np.repeat(dpooled[:, None, :] / M, M, axis=1)
     for kind, idx, sub in reversed(cache["trail"]):
         if kind == "stage":
-            names = _stage_param_names(config)
-            Ws = [params[name] for name in names]
+            Ws = [params[name] for name in ws.stage_names]
             G = G.reshape(len(pooled), M, -1)
-            G = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in names], cache["workspace"])
+            G = _stage_bwd(config.stage, Ws, sub, G, [grads[name] for name in ws.stage_names], ws)
         else:
-            W1 = params[f"block{idx}.W1"]
-            W2 = params[f"block{idx}.W2"]
-            G = _block_bwd(
-                W1, W2, config.block_gain, sub, G, grads[f"block{idx}.W1"], grads[f"block{idx}.W2"], idx > 0
-            )
+            w1, w2 = ws.block_names[idx]
+            G = _block_bwd(params[w1], params[w2], config.block_gain, sub, G, grads[w1], grads[w2], idx > 0)
     return grads
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean loss, accuracy, and d(loss)/d(logits) for integer labels."""
-    m = logits.max(axis=1, keepdims=True)
+    # The reductions are the ufuncs that ndarray.max and .sum call.
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(logits - m)
-    denom = e.sum(axis=1, keepdims=True)
+    denom = np.add.reduce(e, axis=1, keepdims=True)
     B = logits.shape[0]
     idx = np.arange(B)
     losses = np.log(denom[:, 0]) + m[:, 0] - logits[idx, labels]
@@ -468,7 +532,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits = e / denom
     dlogits[idx, labels] -= 1.0
     dlogits /= B
-    acc = int(np.count_nonzero(np.argmax(logits, axis=1) == labels)) / B
+    acc = int(np.count_nonzero(logits.argmax(axis=1) == labels)) / B
     return loss, acc, dlogits
 
 

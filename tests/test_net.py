@@ -820,6 +820,70 @@ def test_a_later_forward_on_the_workspace_makes_a_cache_stale(stage_factory):
         net._forward_batch(config, params, np.zeros((7,) + X.shape[1:]), ws)
 
 
+@pytest.mark.parametrize(
+    "stage",
+    [
+        None,
+        proposed_stage(n=2),
+        original_stage(n=3),
+        original_stage(n=2, placement=2),
+        proposed_stage(n=2, kernel=AffinityKernelSpec.embedded(np.ones((3, 2)), AffinityKernelSpec.gaussian())),
+    ],
+    ids=["stageless", "proposed", "original", "original_last", "proposed_embedded"],
+)
+def test_one_workspace_serves_every_batch_size(stage):
+    # The workspace cuts its buffers once per batch size and reuses the
+    # cut; each pass must still equal one on a fresh workspace, bitwise,
+    # and read the tensors ``params`` holds at that moment.
+    config = small_config(stage, trunk_blocks=3)
+    params = init_params(config, 4)
+    ws = net._Workspace(config, 64)
+    rng = SplitMix64(21)
+    rebound = "stage0.W0" if stage is not None else "block1.W1"
+    for i, B in enumerate((32, 7, 64, 32)):
+        X = 0.5 * rng.normals((B, config.num_positions, config.num_channels))
+        dlogits = rng.normals((B, config.num_classes))
+        if i == 3:
+            before = dict(params)
+            params[rebound] = 0.5 * params[rebound]
+        logits, cache = net._forward_batch(config, params, X, ws)
+        grads = net._backward_batch(config, params, cache, dlogits, flat_grads(params))
+        want_logits, want_cache = net_forward(config, params, X)
+        want = net._backward_batch(config, params, want_cache, dlogits, flat_grads(params))
+        assert logits.tobytes() == want_logits.tobytes()
+        assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
+    # The last pass read the rebound tensor, not the one it replaced.
+    stale_logits, _ = net_forward(config, before, X)
+    assert stale_logits.tobytes() != logits.tobytes()
+
+
+def test_train_calls_each_traced_pass_once_per_batch(monkeypatch):
+    # The benchmark's tracer times the network by wrapping these two
+    # module globals, so train must reach every pass through them.
+    forward, backward = net._forward_batch, net._backward_batch
+    seen = {"forward": [], "backward": []}
+
+    def counted_forward(config, params, X, ws):
+        seen["forward"].append(len(X))
+        return forward(config, params, X, ws)
+
+    def counted_backward(config, params, cache, dlogits, grads):
+        seen["backward"].append(len(dlogits))
+        return backward(config, params, cache, dlogits, grads)
+
+    monkeypatch.setattr(net, "_forward_batch", counted_forward)
+    monkeypatch.setattr(net, "_backward_batch", counted_backward)
+    config = small_config(original_stage(n=2), trunk_blocks=2)
+    task = generate_task(5, 2, 2, 22, 3)
+    hyper = Hyper(epochs=3, batch_size=4)
+    history = train(config, task, hyper, seed=1)
+    assert not history.diverged and len(history.per_epoch) == 3
+    # 22 samples: 6 held out, 16 trained on in batches of 4.
+    batches = [4, 4, 4, 4]
+    assert seen["backward"] == batches * 3
+    assert seen["forward"] == (batches + [6]) * 3
+
+
 def warm_step_peak_bytes(raw, B=32):
     """Peak traced memory of one training step on a warm workspace: forward,
     loss and backward of a batch of B at the train config ``raw``."""
