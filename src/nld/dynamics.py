@@ -203,9 +203,11 @@ class OriginalStepper:
         self.weights = StageWeights.coerce(weights)
 
     def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
-        # The affinities are this step's own, so P overwrites them.
+        # The affinities are this step's own, so P overwrites them.  A row
+        # sum that overflows is a DegenerateRowError, not a warning.
         omega = _affinities(Z, self.spec)[None]
-        P, _ = _rownorm_fwd(omega, omega, np.empty(omega.shape[:2]))
+        with np.errstate(over="ignore"):
+            P, _ = _rownorm_fwd(omega, omega, np.empty(omega.shape[:2]))
         return Z + self.weights.at(n, total) * (P[0] @ Z)
 
 

@@ -15,7 +15,8 @@ class NonFiniteError(NldError):
 
 
 class DegenerateRowError(NldError):
-    """A kernel row sum is too close to zero to normalize against."""
+    """A kernel row sum cannot be normalized against: it is too close to
+    zero, negative or nan, or it overflowed to inf."""
 
     def __init__(self, row: int, row_sum: float):
         self.row = row

@@ -304,15 +304,20 @@ def _rownorm_fwd(omega: np.ndarray, P: np.ndarray, C: np.ndarray):
     """Row-normalize every sample into ``P``, which may be ``omega`` itself,
     and the row sums into ``C``; returns (P, C).
 
-    The first degenerate row (sum not above DEGENERATE_ROW_SUM, nan
-    included) is reported with its sum.
+    The first degenerate row is reported with its sum: a sum not above
+    DEGENERATE_ROW_SUM (nan included), or one that overflowed to inf,
+    which would turn the row into zeros.  The caller runs this under
+    ``np.errstate(over="ignore")`` if the overflow should not warn.
     """
     # np.add.reduce is np.sum without its Python wrapper, which adds about
     # a sixth to a row sum at a network's sizes.
     np.add.reduce(omega, axis=2, out=C)
     # A nan sum makes the minimum nan, so it fails the test too.
-    if not C.min(initial=np.inf) > DEGENERATE_ROW_SUM:
-        b, i = np.argwhere(~(C > DEGENERATE_ROW_SUM))[0]
+    if not (
+        np.minimum.reduce(C, axis=None, initial=np.inf) > DEGENERATE_ROW_SUM
+        and np.maximum.reduce(C, axis=None, initial=-np.inf) < np.inf
+    ):
+        b, i = np.argwhere(~((C > DEGENERATE_ROW_SUM) & (C < np.inf)))[0]
         raise DegenerateRowError(int(i), float(C[b, i]))
     np.divide(omega, C[:, :, None], out=P)
     return P, C
@@ -331,8 +336,10 @@ def _rownorm_bwd(dP, P, C, q, dOmega):
 def _flags_from_entries(entries: np.ndarray) -> dict:
     sym = bool(np.max(np.abs(entries - entries.T)) <= FLAG_TOL) if entries.size else True
     nonneg = bool(np.min(entries) >= 0.0) if entries.size else True
-    row_sums = entries.sum(axis=1)
-    col_sums = entries.sum(axis=0)
+    # Finite entries may still sum to inf; that row is then not stochastic.
+    with np.errstate(over="ignore"):
+        row_sums = entries.sum(axis=1)
+        col_sums = entries.sum(axis=0)
     row_st = bool(np.max(np.abs(row_sums - 1.0)) <= FLAG_TOL)
     doubly = row_st and bool(np.max(np.abs(col_sums - 1.0)) <= FLAG_TOL)
     return {
@@ -439,10 +446,11 @@ def normalize_rows(K: KernelMatrix) -> KernelMatrix:
     """Divide each row by its sum.  Row stochastic out; symmetry not kept.
 
     Nonpositive sums are rejected too: flipping row signs is not a
-    normalization.
+    normalization.  So are sums of finite entries that overflow.
     """
     omega = K.entries[None]
-    P, _ = _rownorm_fwd(omega, np.empty_like(omega), np.empty(omega.shape[:2]))
+    with np.errstate(over="ignore"):
+        P, _ = _rownorm_fwd(omega, np.empty_like(omega), np.empty(omega.shape[:2]))
     return KernelMatrix.from_entries(P[0])
 
 
@@ -466,21 +474,24 @@ def sinkhorn_normalize(K: KernelMatrix, tol: float = SINKHORN_TOL) -> KernelMatr
     resid = np.inf
     reached_tol = False
     iterations = 0
-    for iterations in range(1, SINKHORN_MAX_ITERS + 1):
-        r = A @ d
-        bad = ~(r > DEGENERATE_ROW_SUM)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DegenerateRowError(i, float(d[i] * r[i]))
-        new_resid = float(np.max(np.abs(d * r - 1.0)))
-        if new_resid <= tol:
-            reached_tol = True
-            # Polish: keep going while the residual still shrinks.
-            if new_resid <= 1e-15 or new_resid >= resid:
-                resid = min(resid, new_resid)
-                break
-        resid = new_resid
-        d = np.sqrt(d / r)
+    # A row sum of finite entries that overflows is reported as degenerate
+    # below, not as a warning.
+    with np.errstate(over="ignore"):
+        for iterations in range(1, SINKHORN_MAX_ITERS + 1):
+            r = A @ d
+            bad = ~((r > DEGENERATE_ROW_SUM) & (r < np.inf))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DegenerateRowError(i, float(d[i] * r[i]))
+            new_resid = float(np.max(np.abs(d * r - 1.0)))
+            if new_resid <= tol:
+                reached_tol = True
+                # Polish: keep going while the residual still shrinks.
+                if new_resid <= 1e-15 or new_resid >= resid:
+                    resid = min(resid, new_resid)
+                    break
+            resid = new_resid
+            d = np.sqrt(d / r)
     if not reached_tol and resid > tol:
         raise ConvergenceError("sinkhorn normalization did not converge", resid, iterations)
     S = (d[:, None] * A) * d[None, :]

@@ -9,6 +9,7 @@ import nld
 from nld import (
     AffinityKernelSpec,
     BlowUpError,
+    DegenerateRowError,
     FeatureField,
     InsufficientDataError,
     KernelMatrix,
@@ -685,3 +686,17 @@ def test_original_array_step_names_the_overflowing_pair():
         stepper.step(Z, 0, 1)
     with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
         build_kernel_matrix(FeatureField(Z), AffinityKernelSpec.gaussian())
+
+
+def test_original_stepper_stops_at_an_overflowed_row_sum():
+    # exp(709) is finite, but rows 0-2 sum three of them to inf: the
+    # stepper must name the row, not step on with those rows of P zeroed.
+    z = math.sqrt(709.0)
+    Z = np.array([[z], [z], [z], [0.0]])
+    stepper = OriginalStepper(AffinityKernelSpec.gaussian(), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf"):
+            stepper.step(Z, 0, 1)
+        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf"):
+            evolve(FeatureField(Z), stepper, 3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,36 @@ def test_first_degenerate_row_is_reported():
     with pytest.raises(DegenerateRowError) as err:
         sinkhorn_normalize(S)
     assert (err.value.row, err.value.row_sum) == (1, 1e-301)
+
+
+def overflowing_row_sums_field():
+    """Three positions at z^2 = 709 and one at 0: every gaussian affinity
+    is finite (exp(709) < the float64 maximum), but rows 0-2 sum three of
+    the largest to inf."""
+    z = math.sqrt(709.0)
+    return FeatureField(np.array([[z], [z], [z], [0.0]]))
+
+
+def test_normalize_rows_rejects_an_overflowed_row_sum():
+    K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec.gaussian())
+    assert np.isfinite(K.entries).all()
+    # Divided by inf, rows 0-2 would come out as zeros; the overflow is
+    # reported by the error, not by a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf") as err:
+            normalize_rows(K)
+    assert (err.value.row, err.value.row_sum) == (0, math.inf)
+
+
+def test_sinkhorn_rejects_an_overflowed_row_sum():
+    # Unchecked, the first scaling zeroes rows 0-2 and the iteration runs
+    # out its budget on a residual of 1.
+    K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec.gaussian())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf"):
+            sinkhorn_normalize(K)
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,24 @@ def test_learning_moves_loss_down():
     assert history.per_epoch[-1].train_loss < history.per_epoch[0].train_loss
 
 
+@pytest.mark.parametrize("stage_factory", [proposed_stage, original_stage], ids=["proposed", "original"])
+def test_train_records_an_overflowed_row_sum_as_a_divergence(stage_factory):
+    # One trunk block of one hidden channel maps z > 0 to c z, so inputs
+    # at sqrt(709) / c put the stage's gaussian affinities of positions
+    # 0-2 at exp(709): finite, but each of those rows sums to inf.
+    config = small_config(stage_factory(placement=0), trunk_blocks=1, M=4, d=1, H=1)
+    seed = 3
+    params = init_params(config, seed)
+    c = 1.0 + params["block0.W2"][0, 0] * max(params["block0.W1"][0, 0], 0.0)
+    field = np.array([[1.0], [1.0], [1.0], [0.0]]) * math.sqrt(709.0) / c
+    values = np.stack([field, field])
+    values.setflags(write=False)
+    task = net.SyntheticTask(4, 1, 2, values, labels=(0, 1))
+    hyper = Hyper(epochs=2, batch_size=2, val_fraction=0.0)
+    history = train(config, task, hyper, seed=seed)
+    assert history.divergence == "epoch 0, batch 0: row 0 has degenerate sum inf; cannot normalize"
+
+
 def per_tensor_train(config, task, hyper, seed):
     """A reference trainer: the same SGD, updating one tensor at a time.
 
