@@ -278,23 +278,21 @@ def _kernel_bwd(spec: AffinityKernelSpec, V, omega, aux, dOmega, A, dV, AtV):
         E, inner_aux = aux
         dE = _kernel_bwd(spec.inner, E, omega, inner_aux, dOmega, A, np.empty_like(E), np.empty_like(E))
         return np.matmul(dE, spec.theta, out=dV)
-    if spec.variant == DOT_PRODUCT:
-        A = dOmega
-    elif spec.variant == GAUSSIAN:
-        np.multiply(dOmega, omega, out=A)
-    elif spec.variant == RBF:
+    if spec.variant == RBF:
         h = float(spec.bandwidth)
         # d(omega)/d(squared distance) brings a factor -1/(2h^2).
         np.multiply(dOmega, omega, out=A)
         np.multiply(A, -0.5 / (h * h), out=A)
         Bsym = A + A.swapaxes(1, 2)
-        row = np.sum(Bsym, axis=2)
+        row = np.add.reduce(Bsym, axis=2)
         np.multiply(row[:, :, None], V, out=dV)
         np.subtract(dV, np.matmul(Bsym, V, out=AtV), out=dV)
         return np.multiply(2.0, dV, out=dV)
-    else:
-        raise ValueError(f"unknown kernel variant {spec.variant!r}")
-    # Gram-based variants share one rule: dV = A V + A^T V.
+    if spec.variant != GAUSSIAN:
+        # Network stages, the only callers, reject dot_product kernels.
+        raise ValueError(f"no stage gradient for kernel variant {spec.variant!r}")
+    # omega = exp(V V^T), so with A = dOmega * omega, dV = A V + A^T V.
+    np.multiply(dOmega, omega, out=A)
     np.matmul(A, V, out=dV)
     np.matmul(A.swapaxes(1, 2), V, out=AtV)
     return np.add(dV, AtV, out=dV)

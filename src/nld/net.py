@@ -63,6 +63,7 @@ import numpy as np
 
 from .errors import DegenerateRowError, DivergenceError
 from .kernels import (
+    DOT_PRODUCT,
     EMBEDDED,
     RBF,
     AffinityKernelSpec,
@@ -106,6 +107,10 @@ class StageConfig:
         affinity = self.kernel.inner if self.kernel.variant == EMBEDDED else self.kernel
         if affinity.variant == RBF and affinity.bandwidth is None:
             raise ValueError("network stages need an explicit rbf bandwidth")
+        if affinity.variant == DOT_PRODUCT:
+            # Its signed Gram gives rows that sum to zero or below, which
+            # the row normalization rejects on the first batch.
+            raise ValueError("network stages cannot row-normalize a dot_product kernel")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1017,6 +1017,23 @@ def test_embedded_theta_of_another_width_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize(
+    "kernel",
+    [{"variant": "dot_product"}, {"variant": "embedded", "theta": [[1.0, 0.0]], "inner": {"variant": "dot_product"}}],
+    ids=["dot_product", "embedded_dot_product"],
+)
+def test_dot_product_stage_exits_2(tmp_path, capsys, command, kernel):
+    if command == "train":
+        net_doc = {**TINY_NET, "stage": {**TINY_NET["stage"], "kernel": kernel}}
+    else:
+        net_doc = {"trunk_blocks": 2, "hidden_channels": 3, "kernel": kernel}
+    code, out = run_cli(tmp_path, command, {"task": TINY_TASK, "net": net_doc, "hyper": TINY_HYPER})
+    assert code == 2
+    assert "cannot row-normalize a dot_product kernel" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_ordering_check_with_divergent_runs(tmp_path):
     code, out = run_cli(
         tmp_path,

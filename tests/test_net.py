@@ -82,6 +82,17 @@ def test_config_rejects_bad_stages():
     small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.ones((3, 2)), gaussian)))
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [AffinityKernelSpec.dot_product(), AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.dot_product())],
+    ids=["dot_product", "embedded_dot_product"],
+)
+@pytest.mark.parametrize("formulation", ["proposed", "original"])
+def test_config_rejects_a_dot_product_stage(kernel, formulation):
+    with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
+        StageConfig(formulation, 1, kernel, 0)
+
+
 def test_param_names_order():
     config = small_config(proposed_stage(n=2))
     assert param_names(config) == [
