@@ -204,7 +204,7 @@ class OriginalStepper:
 
     def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
         # The affinities are this step's own, so P overwrites them.  A row
-        # sum that overflows is a DegenerateRowError, not a warning.
+        # sum that overflows is a RowSumOverflowError, not a warning.
         omega = _affinities(Z, self.spec)[None]
         with np.errstate(over="ignore"):
             P, _ = _rownorm_fwd(omega, omega, np.empty(omega.shape[:2]))
@@ -270,7 +270,8 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
                 Z = stepper.step(Z, n, num_steps)
                 max_abs = float(np.abs(Z).max())
             except NonFiniteError:
-                # An affinity computed from the state overflowed.
+                # An affinity computed from the state overflowed, or a row
+                # sum of them did (RowSumOverflowError).
                 max_abs = float("inf")
             if not (max_abs <= BLOWUP_LIMIT):
                 if math.isnan(max_abs):

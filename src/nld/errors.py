@@ -16,12 +16,20 @@ class NonFiniteError(NldError):
 
 class DegenerateRowError(NldError):
     """A kernel row sum cannot be normalized against: it is too close to
-    zero, negative or nan, or it overflowed to inf."""
+    zero, negative or nan, or it overflowed to inf (``RowSumOverflowError``)."""
 
     def __init__(self, row: int, row_sum: float):
         self.row = row
         self.row_sum = row_sum
         super().__init__(f"row {row} has degenerate sum {row_sum!r}; cannot normalize")
+
+
+class RowSumOverflowError(DegenerateRowError, NonFiniteError):
+    """A row of finite kernel entries sums to inf.
+
+    It is a degenerate row, so the network records it as a divergence, and
+    a non-finite value, so an evolving state that produces it blows up.
+    """
 
 
 class ConvergenceError(NldError):

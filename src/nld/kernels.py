@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectrum as _spectrum
-from .errors import ConvergenceError, DegenerateRowError, NonFiniteError
+from .errors import ConvergenceError, DegenerateRowError, NonFiniteError, RowSumOverflowError
 from .fields import FeatureField, _frozen_array
 
 GAUSSIAN = "gaussian"
@@ -303,9 +303,10 @@ def _rownorm_fwd(omega: np.ndarray, P: np.ndarray, C: np.ndarray):
     and the row sums into ``C``; returns (P, C).
 
     The first degenerate row is reported with its sum: a sum not above
-    DEGENERATE_ROW_SUM (nan included), or one that overflowed to inf,
-    which would turn the row into zeros.  The caller runs this under
-    ``np.errstate(over="ignore")`` if the overflow should not warn.
+    DEGENERATE_ROW_SUM (nan included), or one that overflowed to inf
+    (:class:`RowSumOverflowError`), which would turn the row into zeros.
+    The caller runs this under ``np.errstate(over="ignore")`` if the
+    overflow should not warn.
     """
     # np.add.reduce is np.sum without its Python wrapper, which adds about
     # a sixth to a row sum at a network's sizes.
@@ -316,9 +317,16 @@ def _rownorm_fwd(omega: np.ndarray, P: np.ndarray, C: np.ndarray):
         and np.maximum.reduce(C, axis=None, initial=-np.inf) < np.inf
     ):
         b, i = np.argwhere(~((C > DEGENERATE_ROW_SUM) & (C < np.inf)))[0]
-        raise DegenerateRowError(int(i), float(C[b, i]))
+        raise _degenerate_row(int(i), float(C[b, i]))
     np.divide(omega, C[:, :, None], out=P)
     return P, C
+
+
+def _degenerate_row(row: int, row_sum: float) -> DegenerateRowError:
+    """The error for a row sum the normalizations cannot divide by."""
+    if row_sum == np.inf:
+        return RowSumOverflowError(row, row_sum)
+    return DegenerateRowError(row, row_sum)
 
 
 def _rownorm_bwd(dP, P, C, q, dOmega):
@@ -480,7 +488,7 @@ def sinkhorn_normalize(K: KernelMatrix, tol: float = SINKHORN_TOL) -> KernelMatr
             bad = ~((r > DEGENERATE_ROW_SUM) & (r < np.inf))
             if bad.any():
                 i = int(np.argmax(bad))
-                raise DegenerateRowError(i, float(d[i] * r[i]))
+                raise _degenerate_row(i, float(d[i] * r[i]))
             new_resid = float(np.max(np.abs(d * r - 1.0)))
             if new_resid <= tol:
                 reached_tol = True

@@ -17,6 +17,7 @@ from nld import (
     NonFiniteError,
     OriginalStepper,
     ProposedStepper,
+    RowSumOverflowError,
     SplitMix64,
     StageWeights,
     StepStats,
@@ -690,13 +691,16 @@ def test_original_array_step_names_the_overflowing_pair():
 
 def test_original_stepper_stops_at_an_overflowed_row_sum():
     # exp(709) is finite, but rows 0-2 sum three of them to inf: the
-    # stepper must name the row, not step on with those rows of P zeroed.
+    # stepper must name the row, not step on with those rows of P zeroed,
+    # and evolve must end there as it does when an affinity overflows.
     z = math.sqrt(709.0)
     Z = np.array([[z], [z], [z], [0.0]])
     stepper = OriginalStepper(AffinityKernelSpec.gaussian(), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf"):
+        with pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
             stepper.step(Z, 0, 1)
-        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf"):
+        with pytest.raises(BlowUpError) as err:
             evolve(FeatureField(Z), stepper, 3)
+    assert (err.value.step, err.value.max_abs) == (1, math.inf)
+    assert err.value.record.steps == 0

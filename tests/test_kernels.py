@@ -15,6 +15,7 @@ from nld import (
     FeatureField,
     KernelMatrix,
     NonFiniteError,
+    RowSumOverflowError,
     build_kernel_matrix,
     eval_affinity,
     median_bandwidth,
@@ -367,9 +368,11 @@ def test_normalize_rows_rejects_an_overflowed_row_sum():
     # reported by the error, not by a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf") as err:
+        with pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf") as err:
             normalize_rows(K)
     assert (err.value.row, err.value.row_sum) == (0, math.inf)
+    # Both a degenerate row and a non-finite value.
+    assert isinstance(err.value, DegenerateRowError) and isinstance(err.value, NonFiniteError)
 
 
 def test_sinkhorn_rejects_an_overflowed_row_sum():
@@ -378,7 +381,7 @@ def test_sinkhorn_rejects_an_overflowed_row_sum():
     K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec.gaussian())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DegenerateRowError, match="row 0 has degenerate sum inf"):
+        with pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
             sinkhorn_normalize(K)
 
 
