@@ -203,11 +203,9 @@ class OriginalStepper:
         self.weights = StageWeights.coerce(weights)
 
     def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
-        # The affinities are this step's own, so P overwrites them.  A row
-        # sum that overflows is a RowSumOverflowError, not a warning.
+        # The affinities are this step's own, so P overwrites them.
         omega = _affinities(Z, self.spec)[None]
-        with np.errstate(over="ignore"):
-            P, _ = _rownorm_fwd(omega, omega, np.empty(omega.shape[:2]))
+        P, _ = _rownorm_fwd(omega, omega, np.empty(omega.shape[:2]))
         return Z + self.weights.at(n, total) * (P[0] @ Z)
 
 

@@ -696,10 +696,11 @@ def test_original_stepper_stops_at_an_overflowed_row_sum():
     z = math.sqrt(709.0)
     Z = np.array([[z], [z], [z], [0.0]])
     stepper = OriginalStepper(AffinityKernelSpec.gaussian(), 0.5)
+    # A step leaves overflow warnings to its caller, as evolve does.
+    with np.errstate(over="ignore"), pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
+        stepper.step(Z, 0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
-            stepper.step(Z, 0, 1)
         with pytest.raises(BlowUpError) as err:
             evolve(FeatureField(Z), stepper, 3)
     assert (err.value.step, err.value.max_abs) == (1, math.inf)
