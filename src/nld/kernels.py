@@ -219,9 +219,11 @@ def _squared_distances(V: np.ndarray) -> np.ndarray:
     diagonal is exactly 0, no entry is negative and (i, j) equals (j, i)
     bitwise.
     """
-    B, M, d = V.shape
-    d2 = np.zeros((B, M, M))
-    for c in range(d):
+    # Channel 0 is squared in place: summing from zeros would only add
+    # 0.0 to it, which changes no bit, and cost an array and a pass.
+    diff = V[:, :, None, 0] - V[:, None, :, 0]
+    d2 = np.multiply(diff, diff, out=diff)
+    for c in range(1, V.shape[2]):
         diff = V[:, :, None, c] - V[:, None, :, c]
         d2 += diff * diff
     return d2

@@ -71,6 +71,11 @@ def test_config_rejects_bad_stages():
         StageConfig("proposed", 1, AffinityKernelSpec.rbf(), 0)
     with pytest.raises(ValueError):
         StageConfig("proposed", 1, AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.rbf()), 0)
+    # A signed Gram's rows can sum to zero or below: no row normalization.
+    with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
+        StageConfig("original", 1, AffinityKernelSpec.dot_product(), 0)
+    with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
+        StageConfig("proposed", 1, AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.dot_product()), 0)
     with pytest.raises(ValueError):
         small_config(proposed_stage(placement=7))
     with pytest.raises(ValueError):
@@ -80,17 +85,6 @@ def test_config_rejects_bad_stages():
         small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.eye(3), gaussian)))
     # theta may change the width the affinity sees; it must read the network's.
     small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.ones((3, 2)), gaussian)))
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    [AffinityKernelSpec.dot_product(), AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.dot_product())],
-    ids=["dot_product", "embedded_dot_product"],
-)
-@pytest.mark.parametrize("formulation", ["proposed", "original"])
-def test_config_rejects_a_dot_product_stage(kernel, formulation):
-    with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
-        StageConfig(formulation, 1, kernel, 0)
 
 
 def test_param_names_order():
