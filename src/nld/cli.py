@@ -596,7 +596,7 @@ def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
                 "fail",
                 measured=err.max_abs,
                 threshold=dynamics.BLOWUP_LIMIT,
-                detail=f"blow-up at step {err.step}",
+                detail=f"blow-up at step {err.step}" + ("" if err.cause is None else f": {err.cause}"),
             )
         )
     report.artifacts.append(_write_text(out_dir, "trajectory.csv", traj.to_csv()))

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError, InsufficientDataError, NonFiniteError
+from .errors import BlowUpError, DegenerateRowError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
 from .kernels import AffinityKernelSpec, KernelMatrix, _affinities, _rownorm_fwd, _squared_distances
 
@@ -234,8 +234,10 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     """Run ``num_steps`` of the stepper, recording stats at every state.
 
     A non-finite entry or one beyond BLOWUP_LIMIT aborts with
-    :class:`BlowUpError` (a NaN is reported as max abs inf); the partial
-    record (up to the last healthy state) rides along on the exception.
+    :class:`BlowUpError` (a NaN is reported as max abs inf); so does a
+    step that raises :class:`NonFiniteError` or, as the error's ``cause``,
+    :class:`DegenerateRowError`.  The partial record (up to the last
+    healthy state) rides along on the exception.
     States are stepped as bare arrays and their stats computed in blocks.
     """
     if num_steps < 0:
@@ -267,9 +269,12 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
             try:
                 Z = stepper.step(Z, n, num_steps)
                 max_abs = float(np.abs(Z).max())
+            except DegenerateRowError as err:
+                # A row sum of this step's affinities is zero, negative,
+                # nan or (RowSumOverflowError) inf: no next state exists.
+                raise BlowUpError(n + 1, float("inf"), record(n), err) from err
             except NonFiniteError:
-                # An affinity computed from the state overflowed, or a row
-                # sum of them did (RowSumOverflowError).
+                # An affinity computed from the state overflowed.
                 max_abs = float("inf")
             if not (max_abs <= BLOWUP_LIMIT):
                 if math.isnan(max_abs):

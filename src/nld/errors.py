@@ -42,18 +42,23 @@ class ConvergenceError(NldError):
 
 
 class BlowUpError(NldError):
-    """An evolving state exceeded the blow-up guard or went non-finite.
+    """An evolving state exceeded the blow-up guard or went non-finite, or
+    could not be stepped.
 
     ``step`` is the index of the first offending state (state 0 is the
     initial condition).  ``record`` holds the trajectory up to the last
-    healthy state so callers can inspect how the run failed.
+    healthy state so callers can inspect how the run failed.  ``cause`` is
+    the :class:`DegenerateRowError` of a step whose kernel row could not be
+    normalized (max_abs is then inf: there is no state), else None.
     """
 
-    def __init__(self, step: int, max_abs: float, record=None):
+    def __init__(self, step: int, max_abs: float, record=None, cause=None):
         self.step = step
         self.max_abs = max_abs
         self.record = record
-        super().__init__(f"state blew up at step {step} (max abs {max_abs:.3e})")
+        self.cause = cause
+        message = f"state blew up at step {step} (max abs {max_abs:.3e})"
+        super().__init__(message if cause is None else f"{message}: {cause}")
 
 
 class DivergenceError(NldError):

@@ -5,15 +5,19 @@ symmetric part of its weight matrix: the quadratic form z.T W z only sees
 (W + W.T)/2, so the symmetrized spectrum carries the decay/growth story.
 
 The eigensolver is a self-contained Jacobi iteration in round-robin
-order: each round rotates m/2 disjoint planes at once, as a few
-vectorized operations on two halves of the working matrix.  It is the
+order: each round rotates m/2 disjoint planes at once.  The working
+matrix [a | V^T] is stored as contiguous quadrant blocks, so a round's
+row and column updates are a few vectorized operations on whole h x h
+blocks, and one gather moves the slots on to the next round.  It is the
 oracle every spectral claim in this package rests on, so it is written
 from first principles and validated by reconstruction; the tests also
-hold it to LAPACK, on their side only.
+hold it to LAPACK, and bit for bit to the plain two-halves form of the
+same iteration, on their side only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +39,18 @@ JACOBI_MAX_SWEEPS = 100
 
 
 def symmetrize(W: np.ndarray) -> np.ndarray:
-    """(W + W.T)/2, the part of W the quadratic form actually sees."""
+    """(W + W.T)/2, the part of W the quadratic form actually sees.
+
+    It is computed as W/2 + W.T/2, so finite entries near the largest
+    float cannot overflow in the sum; halving is exact above the subnormal
+    range, so elsewhere the bits are those of 0.5 * (W + W.T).
+    """
     A = np.asarray(W, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"symmetrize needs a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise NonFiniteError("symmetrize needs finite entries")
-    return 0.5 * (A + A.T)
+    return 0.5 * A + 0.5 * A.T
 
 
 def _round_robin_shift(m: int) -> np.ndarray:
@@ -60,13 +69,77 @@ def _round_robin_shift(m: int) -> np.ndarray:
     return sigma
 
 
+def _round_robin_gather(m: int) -> np.ndarray:
+    """Flat gather index of one round's permutation on the quadrant layout.
+
+    The working array of :func:`eig_symmetric` has shape (2, 4, h, h),
+    h = m/2: entry [r, b, i, j] is row slot r*h + i and column slot
+    b*h + j of [a | V^T].  ``flat.take(index)`` puts at row slot p the
+    row at slot shift[p], shift = ``_round_robin_shift(m)``, and does the
+    same to a's column slots; V^T's columns are eigenvector components and
+    stay put.  The index is one broadcast sum of a (2, 1, h, 1) row term
+    and a (1, 4, 1, h) column term, so no other m^2-sized array is built.
+    """
+    h = m // 2
+    hh = h * h
+    src_half, src_slot = np.divmod(_round_robin_shift(m), h)
+    rows = src_half * (4 * hh) + src_slot * h
+    cols = np.arange(0, 4 * hh, hh)[:, None] + np.arange(h)
+    cols[:2] = (src_half * hh + src_slot).reshape(2, h)
+    return rows.reshape(2, 1, h, 1) + cols.reshape(1, 4, 1, h)
+
+
+def _scale_and_threshold(sym: np.ndarray) -> tuple:
+    """(scale, JACOBI_TOL * ||sym||_F / 2**scale) for a nonzero matrix.
+
+    The norm is taken on sym / 2**e, its largest entry scaled into
+    [1/2, 1), so the sum of squares neither overflows nor underflows.
+    Scaling by a power of two is exact: in the normal range this is
+    bitwise JACOBI_TOL * np.linalg.norm(sym), which is sqrt(x.dot(x)).
+    Within 2**+-900 no rotation overflows and the threshold is a normal
+    number, so scale is 0 there; a matrix outside that range is rotated
+    at 2**-e (scale = e) and its eigenvalues are scaled back.
+    """
+    e = math.frexp(float(np.max(np.abs(sym))))[1]
+    x = np.ldexp(sym, -e).ravel()
+    scale = e if abs(e) > 900 else 0
+    return scale, math.ldexp(JACOBI_TOL * math.sqrt(x.dot(x)), e - scale)
+
+
+def _quadrants(a: np.ndarray, m: int) -> np.ndarray:
+    """[a | I] zero-padded to m rows and 2m columns, as (2, 4, m/2, m/2)
+    quadrant blocks: [r, b, i, j] is row r*m/2 + i, column b*m/2 + j."""
+    n = len(a)
+    h = m // 2
+    full = np.zeros((m, 2 * m))
+    full[:n, :n] = a
+    full[:n, m:m + n] = np.eye(n)
+    return full.reshape(2, h, 4, h).transpose(0, 2, 1, 3).copy()
+
+
+def _pair_entries(B: np.ndarray) -> tuple:
+    """Writable views of a[k, k], a[k, k+h], a[k+h, k] and a[k+h, k+h].
+
+    They are the diagonals of the quadrant blocks B[0, 0], B[0, 1],
+    B[1, 0] and B[1, 1]: strided slices of the flat buffer, which B
+    (C-contiguous) shares.
+    """
+    h = B.shape[-1]
+    flat = B.reshape(-1)
+    hh = h * h
+    return tuple(flat[q * hh:(q + 1) * hh:h + 1] for q in (0, 1, 4, 5))
+
+
 def eig_symmetric(A: np.ndarray):
     """Eigen-decomposition of a real symmetric matrix by round-robin Jacobi.
 
     Sweeps of plane rotations annihilate off-diagonal entries until the
     largest one falls below JACOBI_TOL * ||A||_F.  Each rotation in the (p, q)
     plane solves a 2x2 subproblem exactly; the accumulated rotations give
-    orthonormal eigenvectors.
+    orthonormal eigenvectors.  The norm is taken on A scaled by a power of
+    two, so it neither overflows nor underflows at any finite scale, and a
+    matrix with entries beyond 2**+-900 is rotated at such a scale too.  An
+    eigenvalue beyond the float64 range raises NonFiniteError.
 
     A sweep visits every (p, q) pair once in m - 1 rounds of the
     round-robin tournament ordering (Brent & Luk 1985; Golub & Van Loan
@@ -74,11 +147,21 @@ def eig_symmetric(A: np.ndarray):
     are disjoint, so their rotations commute and a round is one vectorized
     2x2 solve followed by one row update and one column update.  The
     working matrix is kept permuted so that the pairs of a round sit at
-    slots k and k + m/2: an update is then a few broadcast operations on
-    two contiguous halves, and a permutation moves the indices on to the
-    next round.  An odd n gets one zero dummy slot; its row and column
-    stay zero, so its pair always falls under the threshold and is never
-    rotated.
+    slots k and k + h, h = m/2.  An odd n gets one zero dummy slot; its row
+    and column stay zero, so its pair always falls under the threshold and
+    is never rotated.
+
+    Layout: a and V^T (padded to m columns) are stored together as
+    quadrant blocks B[r, b] of shape (h, h), for row half r and column
+    quarter b (b = 0, 1 for a's halves, 2, 3 for V^T's).  The row update
+    then runs on B[0] against B[1] and the column update on B[:, 0]
+    against B[:, 1]: every operand is a contiguous h x h block, where
+    a's strided column halves cost about twice as much per operation.
+    The pair entries are block diagonals, viewed once per buffer, and the
+    permutation between rounds is one gather (``_round_robin_gather``)
+    into a second buffer.  Every elementwise operation has the operands
+    of the plain two-halves update in the same order, so the layout moves
+    no bit.
 
     Returns (eigenvalues, eigenvectors): eigenvalues sorted descending
     (stable sort, so exact ties keep their input order), eigenvectors
@@ -93,79 +176,90 @@ def eig_symmetric(A: np.ndarray):
         raise ValueError("matrix is not symmetric within 1e-12; symmetrize first")
 
     n = A.shape[0]
-    sym = 0.5 * (A + A.T)  # exact symmetry so the update algebra is clean
-    fnorm = float(np.linalg.norm(sym))
-    if n == 1 or fnorm == 0.0:
+    sym = 0.5 * A + 0.5 * A.T  # exact symmetry so the update algebra is clean
+    if n == 1 or not sym.any():
         vals = np.diag(sym).copy()
         order = np.argsort(-vals, kind="stable")
         return vals[order], np.eye(n)[:, order]
-    thresh = JACOBI_TOL * fnorm
-
+    # The helpers' temporaries are freed before the sweeps start.
+    scale, thresh = _scale_and_threshold(sym)
     m = n + n % 2
     h = m // 2
-    # One buffer [a | V^T]: a row update rotates a and V together; the
-    # column update touches a alone.  Rows and a's columns are slots.
-    buf = np.zeros((m, m + n))
-    a = buf[:, :m]
-    a[:n, :n] = sym
-    buf[:n, m:] = np.eye(n)
-    shift = _round_robin_shift(m)
+    B = _quadrants(np.ldexp(sym, -scale), m)
+    spare = np.empty_like(B)
+    cur, nxt = (B, _pair_entries(B)), (spare, _pair_entries(spare))
+    index = _round_robin_gather(m)
+    # A round's c and s, down the rows (row update) and across the
+    # columns (column update), so that no operand broadcasts.
+    c_rows, s_rows, c_cols, s_cols = np.empty((4, h, h))
 
-    converged = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _sweep in range(JACOBI_MAX_SWEEPS):
-            off = np.abs(a - np.diag(np.diag(a)))
-            if float(off.max()) <= thresh:
-                converged = True
+        for sweep in range(JACOBI_MAX_SWEEPS + 1):
+            # The largest off-diagonal |a| entry: a's diagonal is that of
+            # the quadrants B[0, 0] and B[1, 1].
+            off = np.abs(cur[0][:, :2])
+            np.fill_diagonal(off[0, 0], 0.0)
+            np.fill_diagonal(off[1, 1], 0.0)
+            resid = float(off.max())
+            if resid <= thresh:
                 break
+            if sweep == JACOBI_MAX_SWEEPS:
+                raise ConvergenceError("jacobi sweeps exhausted", resid, JACOBI_MAX_SWEEPS)
             for _round in range(m - 1):
-                apq = np.diagonal(a[:h, h:])
+                B, (app, apq, aqp, aqq) = cur
                 active = np.abs(apq) > thresh
                 if active.any():
-                    d = np.diagonal(a)
-                    diff = d[h:] - d[:h]
                     # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0 keeps
                     # the rotation angle <= pi/4, which is what makes
-                    # Jacobi stable.  A pair under the threshold gets t = 0,
-                    # i.e. c = 1, s = 0, and is left as it is.
+                    # Jacobi stable; tau = +-0 gives t = 1.  A pair under
+                    # the threshold gets t = 0, i.e. c = 1, s = 0, and is
+                    # left as it is.
+                    diff = aqq - app
                     tau = diff / (2.0 * apq)
-                    t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
-                    t = np.where(np.abs(apq) < 1e-300 * np.abs(diff), apq / diff, t)
-                    t = np.where(active, t, 0.0)
+                    abs_tau = np.abs(tau)
+                    t = np.copysign(1.0 / (abs_tau + np.hypot(1.0, tau)), tau + 0.0)
+                    # |apq| < 1e-300 |diff| makes |tau| > 5e299, so below
+                    # 1e299 (and not nan) the guard cannot fire.
+                    if not abs_tau.max() < 1e299:
+                        t = np.where(np.abs(apq) < 1e-300 * np.abs(diff), apq / diff, t)
+                    t[~active] = 0.0
                     c = 1.0 / np.hypot(1.0, t)
                     s = t * c
+                    c_rows[...] = c[:, None]
+                    s_rows[...] = s[:, None]
+                    c_cols[...] = c
+                    s_cols[...] = s
 
                     # Two-sided rotation: rows (of a and V^T) first, then
                     # the columns of a.
-                    top, bottom = buf[:h], buf[h:]
-                    cr, sr = c[:, None], s[:, None]
-                    tmp = top * sr
-                    top *= cr
-                    top -= bottom * sr
-                    bottom *= cr
+                    top, bottom = B[0], B[1]
+                    tmp = top * s_rows
+                    top *= c_rows
+                    top -= bottom * s_rows
+                    bottom *= c_rows
                     bottom += tmp
-                    left, right = a[:, :h], a[:, h:]
-                    tmp = left * s
-                    left *= c
-                    left -= right * s
-                    right *= c
+                    left, right = B[:, 0], B[:, 1]
+                    tmp = left * s_cols
+                    left *= c_cols
+                    left -= right * s_cols
+                    right *= c_cols
                     right += tmp
-                    k = np.flatnonzero(active)
-                    a[k, k + h] = 0.0
-                    a[k + h, k] = 0.0
-                buf = buf.take(shift, axis=0)
-                a = buf[:, :m]
-                a[:] = a.take(shift, axis=1)
-    if not converged:
-        off = np.abs(a - np.diag(np.diag(a)))
-        resid = float(off.max())
-        if resid > thresh:
-            raise ConvergenceError("jacobi sweeps exhausted", resid, JACOBI_MAX_SWEEPS)
+                    apq[active] = 0.0
+                    aqp[active] = 0.0
+                # Every index is in range; a mode other than "raise"
+                # writes into out without buffering.
+                np.take(B.reshape(-1), index, out=nxt[0], mode="wrap")
+                cur, nxt = nxt, cur
 
     # A whole number of sweeps leaves every index in its own slot.
-    vals = np.diag(a)[:n].copy()
+    B, (app, _, _, aqq) = cur
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(np.concatenate((app, aqq))[:n], scale)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteError("an eigenvalue is beyond the float64 range")
     order = np.argsort(-vals, kind="stable")
-    return vals[order], buf[:n, m:].T[:, order]
+    vt = B[:, 2:].transpose(0, 2, 1, 3).reshape(m, m)
+    return vals[order], vt[:n, :n].T[:, order]
 
 
 @dataclass(frozen=True)

@@ -106,3 +106,77 @@ def label_from_field(values, d, num_classes):
     levels = nld.net._agreement_levels(num_classes, d)
     diffs = [abs(k - lv) for lv in levels]
     return int(np.argmin(diffs))
+
+
+def eig_symmetric_two_halves(A):
+    """The round-robin Jacobi of ``nld.eig_symmetric`` on two column halves.
+
+    Its working matrix is one (m, m + n) buffer [a | V^T]: the row update
+    runs on its top and bottom halves, the column update on a's strided
+    left and right halves, and two ``take`` calls permute the slots
+    between rounds.  ``eig_symmetric`` stores the same matrix in
+    contiguous quadrant blocks and must give bitwise the same eigenpairs.
+    """
+    from nld.spectrum import JACOBI_MAX_SWEEPS, JACOBI_TOL, _round_robin_shift
+
+    A = np.asarray(A, dtype=np.float64)
+    n = A.shape[0]
+    sym = 0.5 * (A + A.T)
+    fnorm = float(np.linalg.norm(sym))
+    if n == 1 or fnorm == 0.0:
+        vals = np.diag(sym).copy()
+        order = np.argsort(-vals, kind="stable")
+        return vals[order], np.eye(n)[:, order]
+    thresh = JACOBI_TOL * fnorm
+
+    m = n + n % 2
+    h = m // 2
+    buf = np.zeros((m, m + n))
+    a = buf[:, :m]
+    a[:n, :n] = sym
+    buf[:n, m:] = np.eye(n)
+    shift = _round_robin_shift(m)
+
+    converged = False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _sweep in range(JACOBI_MAX_SWEEPS):
+            off = np.abs(a - np.diag(np.diag(a)))
+            if float(off.max()) <= thresh:
+                converged = True
+                break
+            for _round in range(m - 1):
+                apq = np.diagonal(a[:h, h:])
+                active = np.abs(apq) > thresh
+                if active.any():
+                    d = np.diagonal(a)
+                    diff = d[h:] - d[:h]
+                    tau = diff / (2.0 * apq)
+                    t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
+                    t = np.where(np.abs(apq) < 1e-300 * np.abs(diff), apq / diff, t)
+                    t = np.where(active, t, 0.0)
+                    c = 1.0 / np.hypot(1.0, t)
+                    s = t * c
+
+                    top, bottom = buf[:h], buf[h:]
+                    cr, sr = c[:, None], s[:, None]
+                    tmp = top * sr
+                    top *= cr
+                    top -= bottom * sr
+                    bottom *= cr
+                    bottom += tmp
+                    left, right = a[:, :h], a[:, h:]
+                    tmp = left * s
+                    left *= c
+                    left -= right * s
+                    right *= c
+                    right += tmp
+                    k = np.flatnonzero(active)
+                    a[k, k + h] = 0.0
+                    a[k + h, k] = 0.0
+                buf = buf.take(shift, axis=0)
+                a = buf[:, :m]
+                a[:] = a.take(shift, axis=1)
+    assert converged
+    vals = np.diag(a)[:n].copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], buf[:n, m:].T[:, order]

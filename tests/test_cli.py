@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -615,6 +616,30 @@ def test_evolve_original_kernel_overflow_is_a_named_blowup(tmp_path, capsys):
     assert len(lines) == 6  # header plus the 5 finite states
 
 
+def test_evolve_degenerate_row_fails_with_partial_trajectory(tmp_path, capsys):
+    # dot-product affinities of (1, -1) sum to 0 in row 0: the first step
+    # cannot normalize its kernel.
+    code, out = run_cli(
+        tmp_path,
+        "evolve",
+        {
+            "stepper": "original",
+            "kernel": {"variant": "dot_product"},
+            "weight": -0.5,
+            "num_positions": 2,
+            "num_channels": 1,
+            "initial": {"kind": "explicit", "values": [[1.0], [-1.0]]},
+        },
+    )
+    assert code == 1
+    check = check_by_name(read_report(out), "finite_trajectory")
+    assert check["status"] == "fail"
+    assert check["detail"] == "blow-up at step 1: row 0 has degenerate sum 0.0; cannot normalize"
+    assert check["measured"] == math.inf
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2  # header plus the initial state
+
+
 def test_evolve_explicit_initial_shape_mismatch_exits_2(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path,
@@ -741,6 +766,21 @@ def test_spectrum_on_odd_size_matrix_csv(tmp_path):
     S = 0.5 * (X + X.T)
     expected = np.linalg.eigvalsh(S)[::-1]
     assert np.max(np.abs(values - expected)) <= 1e-12 * float(np.linalg.norm(S))
+
+
+def test_spectrum_of_a_matrix_at_1e200(tmp_path):
+    # Its Frobenius norm overflows float64; the eigenvalues are +-1e200.
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(save_matrix_csv(np.array([[0.0, 1e200], [1e200, 0.0]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "spectrum", {"input_path": str(matrix)})
+    assert code == 0
+    check = check_by_name(read_report(out), "classified_matrix")
+    assert (check["measured"], check["detail"]) == ("mixed", "pos 1 / neg 1")
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    assert values == [pytest.approx(1e200, rel=1e-15), pytest.approx(-1e200, rel=1e-15)]
 
 
 def test_spectrum_rejects_non_square_matrix(tmp_path):

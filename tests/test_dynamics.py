@@ -705,3 +705,39 @@ def test_original_stepper_stops_at_an_overflowed_row_sum():
             evolve(FeatureField(Z), stepper, 3)
     assert (err.value.step, err.value.max_abs) == (1, math.inf)
     assert err.value.record.steps == 0
+
+
+class DegenerateAt(NonFiniteAt):
+    """A stepper that halves the state and finds a degenerate row at ``at``."""
+
+    name = "degenerate_at"
+
+    def step(self, Z, n, total):
+        if n == self.at:
+            raise DegenerateRowError(2, self.value)
+        return 0.5 * Z
+
+
+@pytest.mark.parametrize("at", [0, 4, 70])
+def test_degenerate_row_ends_evolve_with_the_partial_record(monkeypatch, at):
+    Z0 = make_field(35, 5, 2)
+    stats_blocks_of(monkeypatch, 64, Z0)
+    with pytest.raises(BlowUpError, match=r"step \d+ \(max abs inf\): row 2 has degenerate sum -0.5") as err:
+        evolve(Z0, DegenerateAt(at, -0.5), 100)
+    assert (err.value.step, err.value.max_abs) == (at + 1, math.inf)
+    assert (err.value.cause.row, err.value.cause.row_sum) == (2, -0.5)
+    partial = err.value.record
+    assert partial.steps == at and partial.stepper == "degenerate_at"
+    expect = [Z0.values * 0.5**n for n in range(at + 1)]
+    assert bits(partial.per_step_stats) == bits(stats_oracle(e) for e in expect)
+
+
+def test_original_stepper_degenerate_row_is_the_blow_up_cause():
+    # dot-product affinities of (1, -1) are [[1, -1], [-1, 1]]: row 0 sums to 0.
+    Z0 = FeatureField(np.array([[1.0], [-1.0]]))
+    with pytest.raises(BlowUpError) as err:
+        evolve(Z0, OriginalStepper(AffinityKernelSpec.dot_product(), -0.5), 5)
+    assert (err.value.step, err.value.max_abs) == (1, math.inf)
+    assert type(err.value.cause) is DegenerateRowError
+    assert (err.value.cause.row, err.value.cause.row_sum) == (0, 0.0)
+    assert err.value.record.steps == 0 and len(err.value.record.per_step_stats) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nld import (
+    ConvergenceError,
     NonFiniteError,
     SpectrumReport,
     SplitMix64,
@@ -15,7 +17,10 @@ from nld import (
     spectrum_report,
     symmetrize,
 )
-from nld.spectrum import _round_robin_shift
+from nld import cli, kernels, spectrum
+from nld.spectrum import _pair_entries, _round_robin_gather, _round_robin_shift
+
+from conftest import eig_symmetric_two_halves
 
 
 def random_symmetric(seed, n):
@@ -51,6 +56,14 @@ def test_symmetrize_hand_example():
 def test_symmetrize_kills_antisymmetric_part():
     A = np.array([[0.0, 3.0], [-3.0, 0.0]])
     assert np.array_equal(symmetrize(A), np.zeros((2, 2)))
+
+
+def test_symmetrize_keeps_finite_entries_near_the_float_limit_finite():
+    W = np.array([[1.7e308, 1.6e308], [1.5e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        S = symmetrize(W)
+    assert np.array_equal(S, [[1.7e308, 1.55e308], [1.55e308, -1.7e308]])
 
 
 def test_symmetrize_rejects_nonsquare_and_nonfinite():
@@ -131,6 +144,13 @@ def test_eig_one_by_one_and_zero_matrix():
     assert np.array_equal(vals, np.zeros(3)) and np.array_equal(vecs, np.eye(3))
 
 
+def test_eig_raises_convergence_error_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(spectrum, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        eig_symmetric(random_symmetric(5, 6))
+    assert err.value.iterations == 1 and err.value.residual > 0.0
+
+
 def test_round_robin_sweep_meets_every_pair_once():
     for m in range(2, 21, 2):
         shift = _round_robin_shift(m)
@@ -141,6 +161,28 @@ def test_round_robin_sweep_meets_every_pair_once():
             slots = slots[shift]
         assert len(met) == len(set(met)) == m * (m - 1) // 2
         assert np.array_equal(slots, np.arange(m))
+
+
+def test_round_robin_gather_is_the_shift_on_rows_and_columns_of_a():
+    for m in range(2, 21, 2):
+        h = m // 2
+        index = _round_robin_gather(m)
+        shift = _round_robin_shift(m)
+        # Row slot p, column slot q of [a | V^T] holds the label p * 2m + q.
+        labels = np.arange(m)[:, None] * (2 * m) + np.arange(2 * m)
+        B = labels.reshape(2, h, 4, h).transpose(0, 2, 1, 3).copy()
+        slots = np.arange(m)  # slots[j] = index sitting at slot j
+        for _round in range(m - 1):
+            columns = np.concatenate((slots, np.arange(m, 2 * m)))
+            held = B.transpose(0, 2, 1, 3).reshape(m, 2 * m)
+            assert np.array_equal(held, slots[:, None] * (2 * m) + columns)
+            app, apq, aqp, aqq = _pair_entries(B)
+            k, kh = slots[:h], slots[h:]
+            assert np.array_equal(apq, k * (2 * m) + kh) and np.array_equal(aqp, kh * (2 * m) + k)
+            assert np.array_equal(app, k * (2 * m + 1)) and np.array_equal(aqq, kh * (2 * m + 1))
+            B = B.reshape(-1).take(index).reshape(B.shape)
+            slots = slots[shift]
+        assert np.array_equal(B.transpose(0, 2, 1, 3).reshape(m, 2 * m), labels)
 
 
 @st.composite
@@ -180,6 +222,60 @@ def test_eig_agrees_with_lapack_on_drawn_matrices(A):
     assert float(np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - A)) <= 1e-9 * fnorm
     assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-10
     assert np.all(np.diff(vals) <= 0.0)
+
+
+def assert_bitwise_the_oracle(A):
+    vals, vecs = eig_symmetric(A)
+    ref_vals, ref_vecs = eig_symmetric_two_halves(A)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+    # Downstream products see the same operand layout.
+    assert vecs.strides == ref_vecs.strides
+
+
+@given(symmetric_matrices())
+def test_eig_is_bitwise_the_two_halves_oracle_on_drawn_matrices(A):
+    assert_bitwise_the_oracle(A)
+
+
+@pytest.mark.parametrize("M", [7, 17, 32, 33, 64])
+def test_eig_is_bitwise_the_two_halves_oracle_on_verify_theory_kernels(M):
+    for seed in (0, 1):
+        config = cli.resolve_config("verify-theory", {"seed": seed, "num_positions": M})
+        X = cli._seeded_field(seed, "features", M, config["num_channels"])
+        K = kernels.symmetric_stochastic_kernel(X, bandwidth=config["bandwidth"], tol=config["sinkhorn_tol"])
+        assert_bitwise_the_oracle(K.entries)
+
+
+def scaled_symmetric(scale):
+    X = np.random.default_rng(11).standard_normal((9, 9))
+    return 0.5 * (X * scale) + 0.5 * (X * scale).T
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        *(scaled_symmetric(s) for s in (1e-200, 1e-170, 1e-150, 1e150, 1e200, 1e-305, 1e305)),
+        np.array([[0.0, 1e200], [1e200, 0.0]]),
+        np.diag([1e-170, 2e-170]) + 1e-171,
+    ],
+    ids=["1e-200", "1e-170", "1e-150", "1e150", "1e200", "1e-305", "1e305", "exchange_1e200", "diag_1e-170"],
+)
+def test_eig_agrees_with_lapack_at_extreme_scales(A):
+    """The norm neither over- nor underflows, and no warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, vecs = eig_symmetric(A)
+    expected = np.linalg.eigvalsh(A)[::-1]
+    size = float(np.max(np.abs(expected)))
+    assert np.max(np.abs(vals - expected)) <= 1e-12 * size
+    assert np.max(np.abs(vecs @ np.diag(vals / size) @ vecs.T - A / size)) <= 1e-12
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(len(A)))) <= 1e-10
+
+
+def test_eig_names_an_eigenvalue_beyond_the_float_range():
+    # Eigenvalues +-sqrt(1.7^2 + 1.6^2) 1e308 overflow float64.
+    with pytest.raises(NonFiniteError, match="beyond the float64 range"):
+        eig_symmetric(np.array([[1.7e308, 1.6e308], [1.6e308, -1.7e308]]))
 
 
 # classification rule
