@@ -33,7 +33,7 @@ import jsonschema
 import numpy as np
 
 from . import dynamics, kernels, net
-from .errors import BlowUpError, InsufficientDataError, NldError
+from .errors import BlowUpError, InsufficientDataError, NldError, NonFiniteError
 from .fields import FeatureField, load_matrix_csv
 from .rng import SplitMix64, derive_seed
 from .spectrum import DEFAULT_TOP_K, spectrum_report
@@ -632,7 +632,12 @@ def cmd_spectrum(config: dict, report: RunReport, out_dir: Path) -> None:
     report.checks.append(CheckResult("input_readable", "pass", detail=f"{len(targets)} matrix(es)"))
 
     for name, W in targets.items():
-        rep = spectrum_report(W, top_k=top_k)
+        try:
+            rep = spectrum_report(W, top_k=top_k)
+        except NonFiniteError as err:
+            # Finite entries whose eigenvalues lie beyond float64.
+            report.checks.append(CheckResult(f"classified_{name}", "fail", detail=str(err)))
+            continue
         stem = "spectrum" if name == "matrix" else f"spectrum_{name}"
         report.artifacts.append(_write_json(out_dir, f"{stem}.json", rep.to_json_dict()))
         report.artifacts.append(_write_text(out_dir, f"{stem}.csv", rep.to_csv()))

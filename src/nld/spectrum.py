@@ -8,7 +8,10 @@ The eigensolver is a self-contained Jacobi iteration in round-robin
 order: each round rotates m/2 disjoint planes at once.  The working
 matrix [a | V^T] is stored as contiguous quadrant blocks, so a round's
 row and column updates are a few vectorized operations on whole h x h
-blocks, and one gather moves the slots on to the next round.  It is the
+blocks, and one gather moves the slots on to the next round.  A caller
+that needs no eigenvectors asks for ``vectors=False``, and the working
+array then holds only a's two column quarters: ``spectrum_report`` does
+so, while ``KernelMatrix.spectrum`` keeps the vectors.  It is the
 oracle every spectral claim in this package rests on, so it is written
 from first principles and validated by reconstruction; the tests also
 hold it to LAPACK, and bit for bit to the plain two-halves form of the
@@ -69,24 +72,25 @@ def _round_robin_shift(m: int) -> np.ndarray:
     return sigma
 
 
-def _round_robin_gather(m: int) -> np.ndarray:
+def _round_robin_gather(m: int, quarters: int) -> np.ndarray:
     """Flat gather index of one round's permutation on the quadrant layout.
 
-    The working array of :func:`eig_symmetric` has shape (2, 4, h, h),
-    h = m/2: entry [r, b, i, j] is row slot r*h + i and column slot
-    b*h + j of [a | V^T].  ``flat.take(index)`` puts at row slot p the
-    row at slot shift[p], shift = ``_round_robin_shift(m)``, and does the
-    same to a's column slots; V^T's columns are eigenvector components and
-    stay put.  The index is one broadcast sum of a (2, 1, h, 1) row term
-    and a (1, 4, 1, h) column term, so no other m^2-sized array is built.
+    The working array of :func:`eig_symmetric` has shape (2, Q, h, h),
+    h = m/2, Q = ``quarters``: entry [r, b, i, j] is row slot r*h + i and
+    column slot b*h + j of [a | V^T] (Q = 4) or of a alone (Q = 2).
+    ``flat.take(index)`` puts at row slot p the row at slot shift[p],
+    shift = ``_round_robin_shift(m)``, and does the same to a's column
+    slots; V^T's columns are eigenvector components and stay put.  The
+    index is one broadcast sum of a (2, 1, h, 1) row term and a
+    (1, Q, 1, h) column term, so no other m^2-sized array is built.
     """
     h = m // 2
     hh = h * h
     src_half, src_slot = np.divmod(_round_robin_shift(m), h)
-    rows = src_half * (4 * hh) + src_slot * h
-    cols = np.arange(0, 4 * hh, hh)[:, None] + np.arange(h)
+    rows = src_half * (quarters * hh) + src_slot * h
+    cols = np.arange(0, quarters * hh, hh)[:, None] + np.arange(h)
     cols[:2] = (src_half * hh + src_slot).reshape(2, h)
-    return rows.reshape(2, 1, h, 1) + cols.reshape(1, 4, 1, h)
+    return rows.reshape(2, 1, h, 1) + cols.reshape(1, quarters, 1, h)
 
 
 def _scale_and_threshold(sym: np.ndarray) -> tuple:
@@ -106,31 +110,34 @@ def _scale_and_threshold(sym: np.ndarray) -> tuple:
     return scale, math.ldexp(JACOBI_TOL * math.sqrt(x.dot(x)), e - scale)
 
 
-def _quadrants(a: np.ndarray, m: int) -> np.ndarray:
-    """[a | I] zero-padded to m rows and 2m columns, as (2, 4, m/2, m/2)
-    quadrant blocks: [r, b, i, j] is row r*m/2 + i, column b*m/2 + j."""
+def _quadrants(a: np.ndarray, m: int, quarters: int) -> np.ndarray:
+    """[a | I] (quarters = 4) or a (quarters = 2), zero-padded to m rows
+    and quarters * m/2 columns, as (2, quarters, m/2, m/2) quadrant
+    blocks: [r, b, i, j] is row r*m/2 + i, column b*m/2 + j."""
     n = len(a)
     h = m // 2
-    full = np.zeros((m, 2 * m))
+    full = np.zeros((m, quarters * h))
     full[:n, :n] = a
-    full[:n, m:m + n] = np.eye(n)
-    return full.reshape(2, h, 4, h).transpose(0, 2, 1, 3).copy()
+    if quarters == 4:
+        full[:n, m:m + n] = np.eye(n)
+    return full.reshape(2, h, quarters, h).transpose(0, 2, 1, 3).copy()
 
 
 def _pair_entries(B: np.ndarray) -> tuple:
     """Writable views of a[k, k], a[k, k+h], a[k+h, k] and a[k+h, k+h].
 
     They are the diagonals of the quadrant blocks B[0, 0], B[0, 1],
-    B[1, 0] and B[1, 1]: strided slices of the flat buffer, which B
-    (C-contiguous) shares.
+    B[1, 0] and B[1, 1], that is flat quadrants 0, 1, Q and Q + 1 for
+    Q = B.shape[1] column quarters: strided slices of the flat buffer,
+    which B (C-contiguous) shares.
     """
-    h = B.shape[-1]
+    quarters, h = B.shape[1], B.shape[-1]
     flat = B.reshape(-1)
     hh = h * h
-    return tuple(flat[q * hh:(q + 1) * hh:h + 1] for q in (0, 1, 4, 5))
+    return tuple(flat[q * hh:(q + 1) * hh:h + 1] for q in (0, 1, quarters, quarters + 1))
 
 
-def eig_symmetric(A: np.ndarray):
+def eig_symmetric(A: np.ndarray, *, vectors: bool = True):
     """Eigen-decomposition of a real symmetric matrix by round-robin Jacobi.
 
     Sweeps of plane rotations annihilate off-diagonal entries until the
@@ -161,11 +168,15 @@ def eig_symmetric(A: np.ndarray):
     permutation between rounds is one gather (``_round_robin_gather``)
     into a second buffer.  Every elementwise operation has the operands
     of the plain two-halves update in the same order, so the layout moves
-    no bit.
+    no bit.  With ``vectors=False`` the array holds only a's quarters,
+    shape (2, 2, h, h), so a round's row update and gather move half as
+    much; every operation on a's entries is the same, so the eigenvalues
+    are bitwise those computed with the vectors.  ``spectrum_report``
+    takes this path; ``KernelMatrix.spectrum`` keeps the vectors.
 
     Returns (eigenvalues, eigenvectors): eigenvalues sorted descending
     (stable sort, so exact ties keep their input order), eigenvectors
-    as columns matching that order.
+    as columns matching that order, or None with ``vectors=False``.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -180,15 +191,16 @@ def eig_symmetric(A: np.ndarray):
     if n == 1 or not sym.any():
         vals = np.diag(sym).copy()
         order = np.argsort(-vals, kind="stable")
-        return vals[order], np.eye(n)[:, order]
+        return vals[order], np.eye(n)[:, order] if vectors else None
     # The helpers' temporaries are freed before the sweeps start.
     scale, thresh = _scale_and_threshold(sym)
     m = n + n % 2
     h = m // 2
-    B = _quadrants(np.ldexp(sym, -scale), m)
+    quarters = 4 if vectors else 2
+    B = _quadrants(np.ldexp(sym, -scale), m, quarters)
     spare = np.empty_like(B)
     cur, nxt = (B, _pair_entries(B)), (spare, _pair_entries(spare))
-    index = _round_robin_gather(m)
+    index = _round_robin_gather(m, quarters)
     # A round's c and s, down the rows (row update) and across the
     # columns (column update), so that no operand broadcasts.
     c_rows, s_rows, c_cols, s_cols = np.empty((4, h, h))
@@ -230,8 +242,8 @@ def eig_symmetric(A: np.ndarray):
                     c_cols[...] = c
                     s_cols[...] = s
 
-                    # Two-sided rotation: rows (of a and V^T) first, then
-                    # the columns of a.
+                    # Two-sided rotation: rows (of a, and of V^T if kept)
+                    # first, then the columns of a.
                     top, bottom = B[0], B[1]
                     tmp = top * s_rows
                     top *= c_rows
@@ -258,6 +270,8 @@ def eig_symmetric(A: np.ndarray):
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError("an eigenvalue is beyond the float64 range")
     order = np.argsort(-vals, kind="stable")
+    if not vectors:
+        return vals[order], None
     vt = B[:, 2:].transpose(0, 2, 1, 3).reshape(m, m)
     return vals[order], vt[:n, :n].T[:, order]
 
@@ -323,7 +337,7 @@ def spectrum_report(W: np.ndarray, top_k: int = DEFAULT_TOP_K) -> SpectrumReport
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     S = symmetrize(W)
-    vals, _vecs = eig_symmetric(S)
+    vals, _ = eig_symmetric(S, vectors=False)
     k = min(int(top_k), len(vals))
     kept = vals[:k]
     num_pos, num_neg, classification = _classify(kept)

@@ -895,6 +895,49 @@ def test_spectrum_malformed_matrix_is_unreadable_input(tmp_path, kind, target, m
     assert report["artifacts"] == ["report.json"]
 
 
+@pytest.mark.parametrize("kind", ["matrix_csv", "checkpoint"])
+def test_spectrum_eigenvalue_overflow_fails_its_target(tmp_path, kind):
+    # Finite entries, eigenvalues +-sqrt(1.7^2 + 1.6^2) 1e308 beyond float64.
+    W = np.array([[1.7e308, 1.6e308], [1.6e308, -1.7e308]])
+    if kind == "matrix_csv":
+        path, name, others = tmp_path / "matrix.csv", "matrix", []
+        path.write_text(save_matrix_csv(W))
+    else:
+        path, name, others = tmp_path / "ck.bin", "stage0.W0", ["stage0.W1"]
+        blob, sidecar = net.checkpoint_bytes({"stage0.W0": W, "stage0.W1": -np.eye(2)})
+        path.write_bytes(blob)
+        (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+    code, out = run_cli(tmp_path, "spectrum", {"input_path": str(path), "input_kind": kind})
+    assert code == 1
+    report = read_report(out)
+    assert check_by_name(report, "input_readable")["status"] == "pass"
+    check = check_by_name(report, f"classified_{name}")
+    assert check["status"] == "fail"
+    assert check["detail"] == "an eigenvalue is beyond the float64 range"
+    for other in others:
+        assert check_by_name(report, f"classified_{other}")["measured"] == "damping_dominant"
+    stems = [f"spectrum_{other}" for other in others]
+    assert report["artifacts"] == [f"{stem}.{ext}" for stem in stems for ext in ("json", "csv")] + ["report.json"]
+
+
+def test_spectrum_decomposes_each_stage_tensor_once_without_vectors(tmp_path, monkeypatch):
+    tensors = {"stage0.W0": np.diag([1.0, -2.0, 3.0]), "stage0.W1": -np.eye(3), "stage0.W2": np.ones((3, 3))}
+    blob, sidecar = net.checkpoint_bytes(tensors)
+    (tmp_path / "ck.bin").write_bytes(blob)
+    (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+    calls = []
+    eig_symmetric = spectrum.eig_symmetric
+
+    def spy(A, *args, **kwargs):
+        calls.append((len(A), args, kwargs))
+        return eig_symmetric(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eig_symmetric", spy)
+    code, _ = run_cli(tmp_path, "spectrum", {"input_path": str(tmp_path / "ck.bin"), "input_kind": "checkpoint"})
+    assert code == 0
+    assert calls == [(3, (), {"vectors": False})] * len(tensors)
+
+
 # ---------------------------------------------------------------------------
 # train.
 # ---------------------------------------------------------------------------

@@ -129,12 +129,13 @@ def test_eig_product_matches_determinant_small():
 
 
 def test_eig_rejects_asymmetric_and_nonfinite():
-    with pytest.raises(ValueError):
-        eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NonFiniteError):
-        eig_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        eig_symmetric(np.zeros((2, 3)))
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="not symmetric"):
+            eig_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]), vectors=vectors)
+        with pytest.raises(NonFiniteError):
+            eig_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]), vectors=vectors)
+        with pytest.raises(ValueError):
+            eig_symmetric(np.zeros((2, 3)), vectors=vectors)
 
 
 def test_eig_one_by_one_and_zero_matrix():
@@ -142,13 +143,16 @@ def test_eig_one_by_one_and_zero_matrix():
     assert np.array_equal(vals, [7.0]) and np.array_equal(vecs, [[1.0]])
     vals, vecs = eig_symmetric(np.zeros((3, 3)))
     assert np.array_equal(vals, np.zeros(3)) and np.array_equal(vecs, np.eye(3))
+    for A in (np.array([[7.0]]), np.zeros((3, 3))):
+        assert_bitwise_the_oracle(A)
 
 
 def test_eig_raises_convergence_error_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(spectrum, "JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError) as err:
-        eig_symmetric(random_symmetric(5, 6))
-    assert err.value.iterations == 1 and err.value.residual > 0.0
+    for vectors in (True, False):
+        with pytest.raises(ConvergenceError) as err:
+            eig_symmetric(random_symmetric(5, 6), vectors=vectors)
+        assert err.value.iterations == 1 and err.value.residual > 0.0
 
 
 def test_round_robin_sweep_meets_every_pair_once():
@@ -164,25 +168,28 @@ def test_round_robin_sweep_meets_every_pair_once():
 
 
 def test_round_robin_gather_is_the_shift_on_rows_and_columns_of_a():
-    for m in range(2, 21, 2):
-        h = m // 2
-        index = _round_robin_gather(m)
-        shift = _round_robin_shift(m)
-        # Row slot p, column slot q of [a | V^T] holds the label p * 2m + q.
-        labels = np.arange(m)[:, None] * (2 * m) + np.arange(2 * m)
-        B = labels.reshape(2, h, 4, h).transpose(0, 2, 1, 3).copy()
-        slots = np.arange(m)  # slots[j] = index sitting at slot j
-        for _round in range(m - 1):
-            columns = np.concatenate((slots, np.arange(m, 2 * m)))
-            held = B.transpose(0, 2, 1, 3).reshape(m, 2 * m)
-            assert np.array_equal(held, slots[:, None] * (2 * m) + columns)
-            app, apq, aqp, aqq = _pair_entries(B)
-            k, kh = slots[:h], slots[h:]
-            assert np.array_equal(apq, k * (2 * m) + kh) and np.array_equal(aqp, kh * (2 * m) + k)
-            assert np.array_equal(app, k * (2 * m + 1)) and np.array_equal(aqq, kh * (2 * m + 1))
-            B = B.reshape(-1).take(index).reshape(B.shape)
-            slots = slots[shift]
-        assert np.array_equal(B.transpose(0, 2, 1, 3).reshape(m, 2 * m), labels)
+    # Four column quarters hold [a | V^T]; two hold a alone.
+    for quarters in (4, 2):
+        for m in range(2, 21, 2):
+            h = m // 2
+            w = quarters * h  # columns of the working matrix
+            index = _round_robin_gather(m, quarters)
+            shift = _round_robin_shift(m)
+            # Row slot p, column slot q of the working matrix holds the label p * w + q.
+            labels = np.arange(m)[:, None] * w + np.arange(w)
+            B = labels.reshape(2, h, quarters, h).transpose(0, 2, 1, 3).copy()
+            slots = np.arange(m)  # slots[j] = index sitting at slot j
+            for _round in range(m - 1):
+                columns = np.concatenate((slots, np.arange(m, w)))
+                held = B.transpose(0, 2, 1, 3).reshape(m, w)
+                assert np.array_equal(held, slots[:, None] * w + columns)
+                app, apq, aqp, aqq = _pair_entries(B)
+                k, kh = slots[:h], slots[h:]
+                assert np.array_equal(apq, k * w + kh) and np.array_equal(aqp, kh * w + k)
+                assert np.array_equal(app, k * (w + 1)) and np.array_equal(aqq, kh * (w + 1))
+                B = B.reshape(-1).take(index).reshape(B.shape)
+                slots = slots[shift]
+            assert np.array_equal(B.transpose(0, 2, 1, 3).reshape(m, w), labels)
 
 
 @st.composite
@@ -224,12 +231,21 @@ def test_eig_agrees_with_lapack_on_drawn_matrices(A):
     assert np.all(np.diff(vals) <= 0.0)
 
 
+def assert_values_only_bitwise(A):
+    """The two-quarter layout gives bitwise the eigenvalues of the four."""
+    vals, vecs = eig_symmetric(A, vectors=False)
+    assert vecs is None
+    assert np.array_equal(vals, eig_symmetric(A)[0])
+    return vals
+
+
 def assert_bitwise_the_oracle(A):
     vals, vecs = eig_symmetric(A)
     ref_vals, ref_vecs = eig_symmetric_two_halves(A)
     assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
     # Downstream products see the same operand layout.
     assert vecs.strides == ref_vecs.strides
+    assert np.array_equal(assert_values_only_bitwise(A), ref_vals)
 
 
 @given(symmetric_matrices())
@@ -268,14 +284,18 @@ def test_eig_agrees_with_lapack_at_extreme_scales(A):
     expected = np.linalg.eigvalsh(A)[::-1]
     size = float(np.max(np.abs(expected)))
     assert np.max(np.abs(vals - expected)) <= 1e-12 * size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_values_only_bitwise(A)
     assert np.max(np.abs(vecs @ np.diag(vals / size) @ vecs.T - A / size)) <= 1e-12
     assert np.max(np.abs(vecs.T @ vecs - np.eye(len(A)))) <= 1e-10
 
 
 def test_eig_names_an_eigenvalue_beyond_the_float_range():
     # Eigenvalues +-sqrt(1.7^2 + 1.6^2) 1e308 overflow float64.
-    with pytest.raises(NonFiniteError, match="beyond the float64 range"):
-        eig_symmetric(np.array([[1.7e308, 1.6e308], [1.6e308, -1.7e308]]))
+    for vectors in (True, False):
+        with pytest.raises(NonFiniteError, match="beyond the float64 range"):
+            eig_symmetric(np.array([[1.7e308, 1.6e308], [1.6e308, -1.7e308]]), vectors=vectors)
 
 
 # classification rule
@@ -367,6 +387,20 @@ def test_report_csv_layout():
     assert lines[0] == "index,value"
     assert lines[1] == "0,-1.0" and lines[2] == "1,-1.0"
     assert csv.endswith("\n")
+
+
+def test_report_decomposes_once_without_vectors(monkeypatch):
+    calls = []
+    eig_symmetric = spectrum.eig_symmetric
+
+    def spy(A, *args, **kwargs):
+        calls.append((len(A), args, kwargs))
+        return eig_symmetric(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eig_symmetric", spy)
+    report = spectrum_report(random_symmetric(51, 7), top_k=3)
+    assert calls == [(7, (), {"vectors": False})]
+    assert report.eigenvalues == tuple(eig_symmetric(random_symmetric(51, 7))[0][:3])
 
 
 def test_report_is_frozen():
