@@ -454,8 +454,8 @@ def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
     report.checks.append(_check("quadratic_form_nonpositive", quad <= 1e-12, quad, 1e-12))
 
     # One Markov step's variance drop against the energy identity.
-    Z1 = FeatureField(K.entries @ Z0.values)
-    drop = dynamics._stats(Z0.values).variance - dynamics._stats(Z1.values).variance
+    _, variance, _, _ = dynamics._block_stats(np.stack((Z0.values, K.entries @ Z0.values)))
+    drop = float(variance[0] - variance[1])
     predicted = dynamics.variance_dissipation(K, Z0)
     energy_err = abs(drop - predicted)
     report.checks.append(_check("energy_identity", energy_err <= 1e-10, energy_err, 1e-10))
@@ -584,7 +584,7 @@ def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
             CheckResult(
                 "finite_trajectory",
                 "pass",
-                measured=traj.per_step_stats[-1].l2_norm,
+                measured=float(traj.l2_norm[-1]),
                 detail=f"{traj.steps} steps",
             )
         )
@@ -612,9 +612,7 @@ def cmd_spectrum(config: dict, report: RunReport, out_dir: Path) -> None:
             sidecar_path = config["sidecar_path"] or str(path.with_suffix(".json"))
             sidecar = json.loads(Path(sidecar_path).read_text())
             params = net.checkpoint_from_bytes(path.read_bytes(), sidecar)
-            targets = {
-                name: W for name, W in params.items() if name.startswith("stage")
-            }
+            targets = {name: W for name, W in params.items() if net.is_stage_weight(name)}
             if not targets:
                 raise ValueError("checkpoint holds no stage weight tensors")
         for name, W in targets.items():

@@ -26,8 +26,10 @@ and the weights w are scalars, one per step or one for all:
 
 ``evolve`` checks a fixed kernel against the field once per run, checks
 each new state's largest magnitude against BLOWUP_LIMIT, and computes the
-per-step statistics for blocks of up to STATS_BLOCK_BYTES of states at
-once, bitwise as state by state.  It keeps the statistics, not the states.
+statistics for blocks of up to STATS_BLOCK_BYTES of states at once,
+bitwise as state by state.  It keeps them, not the states, in the
+read-only columns of a :class:`TrajectoryRecord`, one row per state:
+``mean`` (steps + 1, d) and ``variance``, ``l2_norm`` and ``dist_to_mean``.
 
 On top of the trajectories sit the verification routines: mean
 preservation, variance decay (with the one-step energy identity), the
@@ -43,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError, DegenerateRowError, InsufficientDataError, NonFiniteError
+from .errors import BandwidthError, BlowUpError, DegenerateRowError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
 from .kernels import AffinityKernelSpec, KernelMatrix, _affinities, _rownorm_fwd, _squared_distances
 
@@ -119,16 +121,8 @@ def apply_diffusion(K: KernelMatrix, Z: FeatureField) -> FeatureField:
     return FeatureField(K.entries @ Z.values - Z.values)
 
 
-@dataclass(frozen=True)
-class StepStats:
-    mean: tuple
-    variance: float
-    l2_norm: float
-    dist_to_mean: float
-
-
-def _block_stats(S: np.ndarray) -> list:
-    """The StepStats of every state in a (k, M, d) stack.
+def _block_stats(S: np.ndarray):
+    """The (mean, variance, l2_norm, dist_to_mean) columns of a (k, M, d) stack.
 
     The mean is the stack's axis-1 mean and each norm one ddot per state
     (``np.vecdot``, numpy 2.0 on, as ``np.linalg.norm`` computes it), so
@@ -140,38 +134,35 @@ def _block_stats(S: np.ndarray) -> list:
     centered = (S - means[:, None, :]).reshape(k, -1)
     dist = np.sqrt(np.vecdot(centered, centered))
     l2 = np.sqrt(np.vecdot(flat, flat))
-    variance = dist * dist / M
-    return [
-        StepStats(mean=tuple(m), variance=v, l2_norm=n, dist_to_mean=r)
-        for m, v, n, r in zip(means.tolist(), variance.tolist(), l2.tolist(), dist.tolist())
-    ]
-
-
-def _stats(values: np.ndarray) -> StepStats:
-    return _block_stats(values[None])[0]
+    return means, dist * dist / M, l2, dist
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Stats of an evolution; immutable."""
+    """Stats of an evolution in read-only columns, the initial state first."""
 
-    steps: int
-    per_step_stats: tuple
+    mean: np.ndarray = dc_field(repr=False)
+    variance: np.ndarray = dc_field(repr=False)
+    l2_norm: np.ndarray = dc_field(repr=False)
+    dist_to_mean: np.ndarray = dc_field(repr=False)
     stepper: str
     kernel_flags: Optional[dict] = dc_field(default=None)
 
     def __post_init__(self):
-        if len(self.per_step_stats) != self.steps + 1:
-            raise ValueError("stats must cover the initial state plus every step")
+        for column in (self.mean, self.variance, self.l2_norm, self.dist_to_mean):
+            column.setflags(write=False)
+
+    @property
+    def steps(self) -> int:
+        return len(self.variance) - 1
 
     def to_csv(self) -> str:
-        d = len(self.per_step_stats[0].mean)
+        d = self.mean.shape[1]
         header = ["step"] + [f"mean_{c}" for c in range(d)] + ["variance", "l2", "dist_to_mean"]
         lines = [",".join(header)]
-        for n, s in enumerate(self.per_step_stats):
-            cells = [str(n)] + [repr(m) for m in s.mean]
-            cells += [repr(s.variance), repr(s.l2_norm), repr(s.dist_to_mean)]
-            lines.append(",".join(cells))
+        table = np.column_stack((self.mean, self.variance, self.l2_norm, self.dist_to_mean))
+        for n, row in enumerate(table.tolist()):
+            lines.append(",".join([str(n)] + [repr(x) for x in row]))
         return "\n".join(lines) + "\n"
 
 
@@ -236,8 +227,8 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     A non-finite entry or one beyond BLOWUP_LIMIT aborts with
     :class:`BlowUpError` (a NaN is reported as max abs inf); so does a
     step that raises :class:`NonFiniteError` or, as the error's ``cause``,
-    :class:`DegenerateRowError`.  The partial record (up to the last
-    healthy state) rides along on the exception.
+    :class:`DegenerateRowError` or :class:`BandwidthError`.  The partial
+    record (up to the last healthy state) rides along on the exception.
     States are stepped as bare arrays and their stats computed in blocks.
     """
     if num_steps < 0:
@@ -248,20 +239,21 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
         _check_diffusion(kernel, Z0.num_positions)
         flags = kernel.flags()
     Z = Z0.values
+    # mean, variance, l2_norm and dist_to_mean, one row per state.
+    columns = (np.empty((num_steps + 1, Z.shape[1])), *np.empty((3, num_steps + 1)))
     rows = max(1, min(num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
     block = np.empty((rows,) + Z.shape)
     block[0] = Z
-    filled = 1
-    stats = []
+    # The block holds states start .. start + filled - 1.
+    start, filled = 0, 1
 
-    def record(steps: int) -> TrajectoryRecord:
-        stats.extend(_block_stats(block[:filled]))
-        return TrajectoryRecord(
-            steps=steps,
-            per_step_stats=tuple(stats),
-            stepper=stepper.name,
-            kernel_flags=flags,
-        )
+    def write_block():
+        for column, stat in zip(columns, _block_stats(block[:filled])):
+            column[start : start + filled] = stat
+
+    def record() -> TrajectoryRecord:
+        write_block()
+        return TrajectoryRecord(*(c[: start + filled] for c in columns), stepper.name, flags)
 
     # Overflow surfaces as the blow-up check below, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,23 +261,23 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
             try:
                 Z = stepper.step(Z, n, num_steps)
                 max_abs = float(np.abs(Z).max())
-            except DegenerateRowError as err:
-                # A row sum of this step's affinities is zero, negative,
-                # nan or (RowSumOverflowError) inf: no next state exists.
-                raise BlowUpError(n + 1, float("inf"), record(n), err) from err
+            except (DegenerateRowError, BandwidthError) as err:
+                # This step's affinities have a degenerate row sum or an
+                # unusable median bandwidth: no next state exists.
+                raise BlowUpError(n + 1, float("inf"), record(), err) from err
             except NonFiniteError:
                 # An affinity computed from the state overflowed.
                 max_abs = float("inf")
             if not (max_abs <= BLOWUP_LIMIT):
                 if math.isnan(max_abs):
                     max_abs = float("inf")
-                raise BlowUpError(n + 1, max_abs, record(n))
+                raise BlowUpError(n + 1, max_abs, record())
             if filled == rows:
-                stats.extend(_block_stats(block))
-                filled = 0
+                write_block()
+                start, filled = start + rows, 0
             block[filled] = Z
             filled += 1
-    return record(num_steps)
+    return record()
 
 
 @dataclass(frozen=True)
@@ -340,9 +332,7 @@ def verify_mean_preservation(traj: TrajectoryRecord) -> MeanPreservationReport:
     Only meaningful under a symmetric doubly stochastic kernel; with the
     assumption unmet the report says so and takes no pass/fail stance.
     """
-    stats = traj.per_step_stats
-    m0 = np.asarray(stats[0].mean)
-    dev = max(float(np.max(np.abs(np.asarray(s.mean) - m0))) for s in stats)
+    dev = float(np.max(np.abs(traj.mean - traj.mean[0])))
     if not _assumes_symmetric_doubly(traj):
         return MeanPreservationReport(dev, None, True)
     return MeanPreservationReport(dev, dev <= MEAN_TOL, False)
@@ -359,15 +349,10 @@ class VarianceDecayReport:
 
 def verify_variance_decay(traj: TrajectoryRecord) -> VarianceDecayReport:
     """Checks var(Z^{n+1}) <= var(Z^n) + VARIANCE_TOL at every step."""
-    stats = traj.per_step_stats
-    max_inc = 0.0
-    first = None
-    for n in range(len(stats) - 1):
-        inc = stats[n + 1].variance - stats[n].variance
-        if inc > max_inc:
-            max_inc = inc
-        if first is None and inc > VARIANCE_TOL:
-            first = n
+    inc = np.diff(traj.variance)
+    max_inc = float(np.max(inc, initial=0.0))
+    above = np.flatnonzero(inc > VARIANCE_TOL)
+    first = int(above[0]) if above.size else None
     if not _assumes_symmetric_doubly(traj):
         return VarianceDecayReport(max_inc, None, True, first)
     return VarianceDecayReport(max_inc, first is None, False, first)
@@ -401,7 +386,7 @@ def estimate_decay_rate(traj: TrajectoryRecord) -> DecayRateFit:
     Points at or below FIT_FLOOR are floating-point noise and are
     excluded; fewer than 3 usable points cannot support a line fit.
     """
-    dists = np.array([s.dist_to_mean for s in traj.per_step_stats])
+    dists = traj.dist_to_mean
     mask = dists > FIT_FLOOR
     if int(mask.sum()) < 3:
         raise InsufficientDataError(

@@ -32,6 +32,10 @@ class RowSumOverflowError(DegenerateRowError, NonFiniteError):
     """
 
 
+class BandwidthError(NldError, ValueError):
+    """An rbf bandwidth h that is not positive or whose 2 h^2 is not a normal float."""
+
+
 class ConvergenceError(NldError):
     """An iterative routine ran out of iterations before meeting its tolerance."""
 
@@ -48,8 +52,8 @@ class BlowUpError(NldError):
     ``step`` is the index of the first offending state (state 0 is the
     initial condition).  ``record`` holds the trajectory up to the last
     healthy state so callers can inspect how the run failed.  ``cause`` is
-    the :class:`DegenerateRowError` of a step whose kernel row could not be
-    normalized (max_abs is then inf: there is no state), else None.
+    the :class:`DegenerateRowError` or :class:`BandwidthError` of a step
+    whose kernel could not be built (max_abs is then inf: no state), else None.
     """
 
     def __init__(self, step: int, max_abs: float, record=None, cause=None):

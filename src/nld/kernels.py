@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectrum as _spectrum
-from .errors import ConvergenceError, DegenerateRowError, NonFiniteError, RowSumOverflowError
+from .errors import BandwidthError, ConvergenceError, DegenerateRowError, NonFiniteError, RowSumOverflowError
 from .fields import FeatureField, _frozen_array
 
 GAUSSIAN = "gaussian"
@@ -98,8 +98,7 @@ class AffinityKernelSpec:
         if self.bandwidth is not None:
             if self.variant != RBF:
                 raise ValueError("bandwidth only applies to the rbf variant")
-            if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-                raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+            _check_bandwidth(self.bandwidth, "bandwidth")
         if self.variant == EMBEDDED:
             if self.theta is None or self.inner is None:
                 raise ValueError("embedded kernels need both theta and an inner spec")
@@ -135,11 +134,19 @@ class AffinityKernelSpec:
         return cls(EMBEDDED, theta=theta, inner=inner)
 
 
+def _check_bandwidth(h: float, what: str) -> None:
+    """Raises :class:`BandwidthError` unless h > 0 and 2 h^2, the rbf divisor, is a normal float."""
+    if not (h > 0 and np.finfo(np.float64).tiny <= 2.0 * h * h < np.inf):
+        raise BandwidthError(
+            f"{what} {h!r} is not a usable rbf bandwidth h: h > 0 and 2 h^2 = {2.0 * h * h!r} must be normal"
+        )
+
+
 def median_bandwidth(field: FeatureField) -> float:
     """Median pairwise Euclidean distance, the default rbf bandwidth.
 
-    Errors when the median is not strictly positive (all points coincide,
-    or there is a single position), since a zero bandwidth is meaningless.
+    Errors when there is a single position, and with :class:`BandwidthError`
+    when all points coincide or lie so close that 2 h^2 underflows.
     """
     M = field.num_positions
     if M < 2:
@@ -147,8 +154,7 @@ def median_bandwidth(field: FeatureField) -> float:
     d2 = _squared_distances(field.values[None])[0]
     dists = np.sqrt(d2[np.triu_indices(M, k=1)])
     med = float(np.median(dists))
-    if not (med > 0.0):
-        raise ValueError("median pairwise distance is zero; bandwidth undefined")
+    _check_bandwidth(med, "median pairwise distance")
     return med
 
 

@@ -56,6 +56,7 @@ ndarray method's Python wrapper.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -168,7 +169,7 @@ def init_params(config: NetworkConfig, seed: int) -> dict:
     params = {}
     for name in param_names(config):
         stream = SplitMix64(derive_seed(seed, "param", name))
-        if name.startswith("stage"):
+        if is_stage_weight(name):
             if config.stage.formulation == PROPOSED:
                 params[name] = PROPOSED_INIT_SCALE * np.eye(d)
             else:
@@ -329,6 +330,11 @@ def _stage_param_names(config: NetworkConfig) -> list:
     if config.stage is None:
         return []
     return [f"stage0.W{n}" for n in range(config.stage.sub_blocks)]
+
+
+def is_stage_weight(name: str) -> bool:
+    """Whether a parameter name is a stage sub-block weight, ``stage0.W{n}``."""
+    return re.fullmatch(r"stage0\.W[0-9]+", name) is not None
 
 
 def _cut(buffers, n):
@@ -784,7 +790,7 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
 def extract_stage_spectra(history: TrainingHistory) -> list:
     """One SpectrumReport per sub-block weight, in stage order."""
     return [
-        spectrum_report(W) for name, W in history.final_params.items() if name.startswith("stage")
+        spectrum_report(W) for name, W in history.final_params.items() if is_stage_weight(name)
     ]
 
 

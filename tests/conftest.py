@@ -63,8 +63,7 @@ def sup_norms(stepper, Z0, num_steps):
 
 def l2_ratios(traj):
     """Each step's l2 norm over the previous one's."""
-    stats = traj.per_step_stats
-    return [cur.l2_norm / prev.l2_norm for prev, cur in zip(stats, stats[1:])]
+    return (traj.l2_norm[1:] / traj.l2_norm[:-1]).tolist()
 
 
 def net_forward(config, params, X):

@@ -103,7 +103,7 @@ def test_two_state_theorem_suite(two_state_kernel, two_state_field):
 
     assert verify_mean_preservation(traj).max_deviation <= 1e-12
 
-    variances = [s.variance for s in traj.per_step_stats]
+    variances = traj.variance
     ratio_err = max(abs(variances[n + 1] / variances[n] - 0.64) for n in range(200))
     assert ratio_err <= 1e-10
 

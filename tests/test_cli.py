@@ -640,6 +640,24 @@ def test_evolve_degenerate_row_fails_with_partial_trajectory(tmp_path, capsys):
     assert len(lines) == 2  # header plus the initial state
 
 
+@pytest.mark.parametrize("seed, step", [(0, 1362), (4, 1442)])
+def test_evolve_collapsed_median_bandwidth_fails_with_partial_trajectory(tmp_path, seed, step):
+    # The original stepper with a negative weight shrinks the state toward
+    # 0 until 2 h^2 of its median bandwidth h is no longer a normal float.
+    config = {"stepper": "original", "kernel": {"variant": "rbf"}, "weight": -0.5, "steps": 2000, "seed": seed}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, "evolve", config)
+    assert code == 1
+    check = check_by_name(read_report(out), "finite_trajectory")
+    assert check["status"] == "fail"
+    assert check["measured"] == math.inf
+    assert check["detail"].startswith(f"blow-up at step {step}: median pairwise distance ")
+    assert check["detail"].endswith(" must be normal")
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == step + 1  # header plus the states before the failed step
+
+
 def test_evolve_explicit_initial_shape_mismatch_exits_2(tmp_path, capsys):
     code, _ = run_cli(
         tmp_path,
@@ -865,6 +883,20 @@ def test_spectrum_checkpoint_without_stage_tensors_fails(tmp_path):
     assert code == 1
     check = check_by_name(read_report(out), "input_readable")
     assert "no stage weight tensors" in check["detail"]
+
+
+def test_spectrum_checkpoint_reports_only_the_stage_weights(tmp_path):
+    # A 2x3 stage0.theta (an embedded kernel's projection) is not a sub-block weight.
+    tensors = {"stage0.W0": np.diag([1.0, -2.0]), "stage0.theta": np.ones((2, 3)), "stage0.W1": -np.eye(2)}
+    blob, sidecar = net.checkpoint_bytes(tensors)
+    (tmp_path / "ck.bin").write_bytes(blob)
+    (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+    code, out = run_cli(tmp_path, "spectrum", {"input_path": str(tmp_path / "ck.bin"), "input_kind": "checkpoint"})
+    assert code == 0
+    report = read_report(out)
+    assert check_by_name(report, "input_readable")["detail"] == "2 matrix(es)"
+    assert [c["name"] for c in report["checks"]] == ["input_readable", "classified_stage0.W0", "classified_stage0.W1"]
+    assert not (out / "spectrum_stage0.theta.json").exists()
 
 
 @pytest.mark.parametrize(

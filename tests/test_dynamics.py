@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, strategies as st
 import nld
 from nld import (
     AffinityKernelSpec,
+    BandwidthError,
     BlowUpError,
     DegenerateRowError,
     FeatureField,
@@ -20,7 +22,6 @@ from nld import (
     RowSumOverflowError,
     SplitMix64,
     StageWeights,
-    StepStats,
     apply_diffusion,
     build_kernel_matrix,
     cfl_verdict,
@@ -193,7 +194,7 @@ def test_weights_per_step_sequence_is_honored():
 def test_evolve_zero_steps_records_initial_only():
     Z0 = make_field(9, 3, 2)
     traj = evolve(Z0, MarkovStepper(make_balanced_kernel(9, 3)), 0)
-    assert traj.steps == 0 and len(traj.per_step_stats) == 1
+    assert traj.steps == 0 and traj.mean.shape == (1, 2)
     assert l2_ratios(traj) == []
 
 
@@ -204,8 +205,8 @@ def test_evolve_markov_two_state_states(two_state_kernel, two_state_field):
     expect = [0.8, 0.64, 0.512]
     for n, top in enumerate(expect, start=1):
         assert np.allclose(states[n], [[top], [-top]], rtol=0, atol=1e-12)
-    assert traj.per_step_stats[1].l2_norm == pytest.approx(0.8 * math.sqrt(2.0), abs=1e-12)
-    assert traj.per_step_stats[3].variance == pytest.approx(0.512**2, abs=1e-12)
+    assert traj.l2_norm[1] == pytest.approx(0.8 * math.sqrt(2.0), abs=1e-12)
+    assert traj.variance[3] == pytest.approx(0.512**2, abs=1e-12)
 
 
 def test_evolve_rejects_negative_step_count(two_state_kernel, two_state_field):
@@ -333,8 +334,8 @@ def test_mean_preservation_gate_on_nonsymmetric_kernel():
 
 def test_variance_decay_two_state(two_state_kernel, two_state_field):
     traj = evolve(two_state_field, MarkovStepper(two_state_kernel), 6)
-    for n, s in enumerate(traj.per_step_stats):
-        assert s.variance == pytest.approx(0.64**n, rel=1e-12)
+    for n, v in enumerate(traj.variance):
+        assert v == pytest.approx(0.64**n, rel=1e-12)
     report = verify_variance_decay(traj)
     assert report.passed and report.max_increase == 0.0
     assert report.first_violation_step is None
@@ -351,8 +352,7 @@ def test_variance_decay_fails_for_unstable_weight(exchange_kernel, two_state_fie
 def test_variance_decay_constant_field(two_state_kernel):
     Z0 = FeatureField(np.full((2, 1), 3.0))
     traj = evolve(Z0, MarkovStepper(two_state_kernel), 5)
-    for s in traj.per_step_stats:
-        assert s.variance == 0.0
+    assert np.all(traj.variance == 0.0)
     assert verify_variance_decay(traj).passed
 
 
@@ -361,7 +361,7 @@ def test_energy_identity_single_markov_step():
         K = make_balanced_kernel(seed + 60, 7)
         Z0 = make_field(seed + 400, 7, 2)
         traj = evolve(Z0, MarkovStepper(K), 1)
-        drop = traj.per_step_stats[0].variance - traj.per_step_stats[1].variance
+        drop = traj.variance[0] - traj.variance[1]
         assert drop == pytest.approx(variance_dissipation(K, Z0), abs=1e-10)
 
 
@@ -386,7 +386,7 @@ def test_diffusion_identities_on_drawn_kernels(case):
     assert np.max(np.abs(apply_diffusion(K, const).values)) <= 1e-12
     assert np.max(np.abs(apply_diffusion(K, Z).values.sum(axis=0))) <= 1e-10
     traj = evolve(Z, MarkovStepper(K), 1)
-    drop = traj.per_step_stats[0].variance - traj.per_step_stats[1].variance
+    drop = traj.variance[0] - traj.variance[1]
     assert abs(drop - variance_dissipation(K, Z)) <= 1e-10
 
 
@@ -521,35 +521,78 @@ def test_trajectory_csv_layout(two_state_kernel, two_state_field):
     assert float(first[2]) == pytest.approx(1.0, abs=1e-15)
 
 
+def csv_digest(traj):
+    return hashlib.sha256(traj.to_csv().encode()).hexdigest()
+
+
+def test_trajectory_csv_bytes_are_pinned_for_a_two_channel_run():
+    traj = evolve(make_field(44, 6, 2), ProposedStepper(make_balanced_kernel(43, 6), 0.5), 70)
+    lines = traj.to_csv().splitlines()
+    assert lines[:2] == [
+        "step,mean_0,mean_1,variance,l2,dist_to_mean",
+        "0,-0.7965579564611439,-0.10300324071541038,1.6104670960160616,3.6787889379105394,3.108504877927067",
+    ]
+    assert len(lines) == 72
+    assert csv_digest(traj) == "c70830ba81947f203aae9de8a7a54f18f3bc388e68f907cf87a5a2cf2b904ebb"
+
+
+def test_trajectory_csv_bytes_are_pinned_for_a_blow_up_partial_record(exchange_kernel):
+    # Channel 0 grows by |1 - 2 * 1.2| = 1.4 per step and passes 1e12 at step
+    # 83; channel 1's mean 0.375 is carried along.
+    Z0 = FeatureField(np.array([[1.0, 0.25], [-1.0, 0.5]]))
+    with pytest.raises(BlowUpError) as err:
+        evolve(Z0, ProposedStepper(exchange_kernel, 1.2), 200)
+    assert err.value.step == 83
+    lines = err.value.record.to_csv().splitlines()
+    assert lines[1] == "0,0.0,0.375,1.015625,1.5206906325745548,1.4252192813739224"
+    assert lines[-1] == "82,0.0,0.375,9.369819697649753e+23,1368928025693.809,1368928025693.8093"
+    assert len(lines) == 84
+    assert csv_digest(err.value.record) == "988184cf25641f39a1bc48d844814ed853c1c4a198a44ca6da2d53a74db40e3a"
+
+
+def test_trajectory_columns_are_read_only(exchange_kernel, two_state_field):
+    traj = evolve(make_field(45, 4, 3), ProposedStepper(make_balanced_kernel(46, 4), 0.5), 5)
+    with pytest.raises(BlowUpError) as err:
+        evolve(two_state_field, ProposedStepper(exchange_kernel, 1.5), 100)
+    for record in (traj, err.value.record):
+        for column in columns(record):
+            assert column.dtype == np.float64 and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+    assert traj.mean.shape == (6, 3) and traj.variance.shape == (6,)
+    assert err.value.record.mean.shape == (40, 1) and err.value.record.dist_to_mean.shape == (40,)
+
+
 def test_trajectory_stats_are_nonnegative():
     K = make_balanced_kernel(21, 6)
     traj = evolve(make_field(22, 6, 2), ProposedStepper(K, 0.5), 30)
-    assert len(traj.per_step_stats) == traj.steps + 1
-    for s in traj.per_step_stats:
-        assert s.variance >= 0.0 and s.l2_norm >= 0.0 and s.dist_to_mean >= 0.0
+    assert traj.steps == 30 and len(traj.mean) == len(traj.l2_norm) == len(traj.dist_to_mean) == 31
+    for column in (traj.variance, traj.l2_norm, traj.dist_to_mean):
+        assert np.all(column >= 0.0)
 
 
 # evolve on bare arrays: block statistics and the blow-up check
 
 
-def stats_oracle(values):
-    """The per-state statistics formula the blocks are held to, bit for bit."""
-    mean = values.mean(axis=0)
-    dist = float(np.linalg.norm(values - mean))
-    return StepStats(
-        mean=tuple(float(m) for m in mean),
-        variance=dist * dist / values.shape[0],
-        l2_norm=float(np.linalg.norm(values)),
-        dist_to_mean=dist,
-    )
+def stats_oracle(states):
+    """The per-state statistics formula the columns are held to, bit for bit:
+    (mean, variance, l2_norm, dist_to_mean), one row per state."""
+    rows = []
+    for values in states:
+        mean = values.mean(axis=0)
+        dist = float(np.linalg.norm(values - mean))
+        rows.append((mean, dist * dist / values.shape[0], float(np.linalg.norm(values)), dist))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def columns(traj):
+    return traj.mean, traj.variance, traj.l2_norm, traj.dist_to_mean
 
 
 def bits(stats):
-    """Every float of a StepStats sequence, as hex: equal means bitwise equal."""
-    return [
-        tuple(float.hex(x) for x in (*s.mean, s.variance, s.l2_norm, s.dist_to_mean))
-        for s in stats
-    ]
+    """Every float of the four columns, column by column, with each column's
+    shape, as hex: equal means bitwise equal."""
+    return [(c.shape, [float.hex(x) for x in c.ravel().tolist()]) for c in stats]
 
 
 @given(
@@ -567,9 +610,7 @@ def test_block_stats_are_bitwise_the_per_state_formula(k, M, d, scale, seed):
     rng = SplitMix64(seed)
     S = rng.normals((k, M, d)) * np.exp(scale * rng.normals((k, M, d)))
     S[0, 0] += 10.0**scale  # an off-center state: the mean is not near 0
-    block = dynamics._block_stats(S)
-    assert bits(block) == bits(stats_oracle(s) for s in S)
-    assert bits([dynamics._stats(S[-1])]) == bits([stats_oracle(S[-1])])
+    assert bits(dynamics._block_stats(S)) == bits(stats_oracle(S))
 
 
 def stats_blocks_of(monkeypatch, states, Z0, spare=0):
@@ -587,9 +628,9 @@ def test_evolve_stats_match_per_state_formula_across_blocks(monkeypatch, num_ste
         with monkeypatch.context() as m:
             stats_blocks_of(m, 64, Z0, spare=Z0.values.nbytes - 1)
             blocked = evolve(Z0, stepper, num_steps)
-        oracle = [stats_oracle(s) for s in step_states(stepper, Z0, num_steps)]
-        assert bits(blocked.per_step_stats) == bits(oracle)
-        assert bits(plain.per_step_stats) == bits(blocked.per_step_stats)
+        oracle = stats_oracle(step_states(stepper, Z0, num_steps))
+        assert bits(columns(blocked)) == bits(oracle)
+        assert bits(columns(plain)) == bits(columns(blocked))
 
 
 @pytest.mark.parametrize("states", [0, 1, 3])
@@ -600,7 +641,7 @@ def test_evolve_stats_blocks_respect_the_byte_cap(monkeypatch, states):
     stats_blocks_of(monkeypatch, states, Z0)
     stepper = ProposedStepper(K, 0.5)
     traj = evolve(Z0, stepper, 10)
-    assert bits(traj.per_step_stats) == bits(stats_oracle(s) for s in step_states(stepper, Z0, 10))
+    assert bits(columns(traj)) == bits(stats_oracle(step_states(stepper, Z0, 10)))
 
 
 def test_evolve_blow_up_inside_the_second_block(monkeypatch, exchange_kernel, two_state_field):
@@ -613,9 +654,9 @@ def test_evolve_blow_up_inside_the_second_block(monkeypatch, exchange_kernel, tw
     assert err.value.step == 83
     assert err.value.max_abs == pytest.approx(1.4**83, rel=1e-12)
     partial = err.value.record
-    assert partial.steps == 82 and len(partial.per_step_stats) == 83
+    assert partial.steps == 82 and len(partial.mean) == 83
     states = step_states(stepper, two_state_field, 82)
-    assert bits(partial.per_step_stats) == bits(stats_oracle(s) for s in states)
+    assert bits(columns(partial)) == bits(stats_oracle(states))
     assert float(np.max(np.abs(states[-1]))) <= dynamics.BLOWUP_LIMIT
 
 
@@ -648,7 +689,7 @@ def test_non_finite_step_is_an_inf_blow_up_with_the_partial_record(monkeypatch, 
     assert partial.steps == at and partial.stepper == "non_finite_at"
     assert partial.kernel_flags is None
     expect = [Z0.values * 0.5**n for n in range(at + 1)]
-    assert bits(partial.per_step_stats) == bits(stats_oracle(e) for e in expect)
+    assert bits(columns(partial)) == bits(stats_oracle(expect))
 
 
 @pytest.mark.parametrize(
@@ -729,7 +770,7 @@ def test_degenerate_row_ends_evolve_with_the_partial_record(monkeypatch, at):
     partial = err.value.record
     assert partial.steps == at and partial.stepper == "degenerate_at"
     expect = [Z0.values * 0.5**n for n in range(at + 1)]
-    assert bits(partial.per_step_stats) == bits(stats_oracle(e) for e in expect)
+    assert bits(columns(partial)) == bits(stats_oracle(expect))
 
 
 def test_original_stepper_degenerate_row_is_the_blow_up_cause():
@@ -740,4 +781,16 @@ def test_original_stepper_degenerate_row_is_the_blow_up_cause():
     assert (err.value.step, err.value.max_abs) == (1, math.inf)
     assert type(err.value.cause) is DegenerateRowError
     assert (err.value.cause.row, err.value.cause.row_sum) == (0, 0.0)
-    assert err.value.record.steps == 0 and len(err.value.record.per_step_stats) == 1
+    assert err.value.record.steps == 0 and err.value.record.mean.shape == (1, 1)
+
+
+def test_original_stepper_collapsed_median_bandwidth_is_the_blow_up_cause():
+    # Coincident positions have a median pairwise distance of 0.
+    Z0 = FeatureField(np.full((3, 2), 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError, match=r"step 1 \(max abs inf\): median pairwise distance 0.0") as err:
+            evolve(Z0, OriginalStepper(AffinityKernelSpec.rbf(), -0.5), 5)
+    assert (err.value.step, err.value.max_abs) == (1, math.inf)
+    assert type(err.value.cause) is BandwidthError
+    assert err.value.record.steps == 0 and err.value.record.mean.shape == (1, 2)

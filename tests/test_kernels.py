@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import nld
 from nld import (
     AffinityKernelSpec,
+    BandwidthError,
     ConvergenceError,
     DegenerateRowError,
     FeatureField,
@@ -109,10 +110,12 @@ def test_symmetry_property_randomized():
 
 
 def test_rbf_requires_positive_bandwidth():
-    with pytest.raises(ValueError):
-        AffinityKernelSpec.rbf(bandwidth=0.0)
-    with pytest.raises(ValueError):
-        AffinityKernelSpec.rbf(bandwidth=-1.0)
+    # 2 (1e-154)^2 is subnormal and 2 (1e154)^2 overflows.
+    for h in (0.0, -1.0, math.nan, math.inf, 1e-154, 1e154):
+        with pytest.raises(BandwidthError, match="is not a usable rbf bandwidth"):
+            AffinityKernelSpec.rbf(bandwidth=h)
+    for h in (1.1e-154, 9e153):
+        assert AffinityKernelSpec.rbf(bandwidth=h).bandwidth == h
 
 
 def test_embedded_rejects_nested_embedded():
@@ -196,6 +199,17 @@ def test_rbf_median_bandwidth_is_default():
     K_explicit = build_kernel_matrix(f, AffinityKernelSpec.rbf(bandwidth=h))
     assert np.array_equal(K_default.entries, K_explicit.entries)
     assert h > 0
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-155])
+def test_median_bandwidth_rejects_a_collapsed_field(scale):
+    f = FeatureField(scale * make_field(32, 5, 2).values)
+    with pytest.raises(BandwidthError, match=r"^median pairwise distance .* is not a usable rbf bandwidth h: h > 0 and 2 h\^2 = .* must be normal$"):
+        median_bandwidth(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BandwidthError):
+            build_kernel_matrix(f, AffinityKernelSpec.rbf())
 
 
 # ---------------------------------------------------------------------------
