@@ -470,7 +470,21 @@ def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
         )
     )
 
-    traj = dynamics.evolve(Z0, dynamics.ProposedStepper(K, w), steps)
+    try:
+        traj = dynamics.evolve(Z0, dynamics.ProposedStepper(K, w), steps)
+    except BlowUpError as err:
+        # The theorems below are then checked on the states before the blow-up.
+        traj = err.record
+        report.checks.append(
+            _stable_weight_check(
+                "finite_trajectory",
+                False,
+                verdict.stable,
+                err.max_abs,
+                dynamics.BLOWUP_LIMIT,
+                detail=f"blow-up at step {err.step}",
+            )
+        )
     mean_rep = dynamics.verify_mean_preservation(traj)
     report.checks.append(
         _stable_weight_check(

@@ -226,9 +226,10 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
 
     A non-finite entry or one beyond BLOWUP_LIMIT aborts with
     :class:`BlowUpError` (a NaN is reported as max abs inf); so does a
-    step that raises :class:`NonFiniteError` or, as the error's ``cause``,
-    :class:`DegenerateRowError` or :class:`BandwidthError`.  The partial
-    record (up to the last healthy state) rides along on the exception.
+    step that raises :class:`NonFiniteError`, :class:`DegenerateRowError`
+    or :class:`BandwidthError`, which becomes the error's ``cause``.  The
+    partial record (up to the last healthy state) rides along on the
+    exception.
     States are stepped as bare arrays and their stats computed in blocks.
     """
     if num_steps < 0:
@@ -261,13 +262,10 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
             try:
                 Z = stepper.step(Z, n, num_steps)
                 max_abs = float(np.abs(Z).max())
-            except (DegenerateRowError, BandwidthError) as err:
-                # This step's affinities have a degenerate row sum or an
-                # unusable median bandwidth: no next state exists.
+            except (DegenerateRowError, BandwidthError, NonFiniteError) as err:
+                # This step's affinities overflowed, have a degenerate row
+                # sum or an unusable median bandwidth: no next state exists.
                 raise BlowUpError(n + 1, float("inf"), record(), err) from err
-            except NonFiniteError:
-                # An affinity computed from the state overflowed.
-                max_abs = float("inf")
             if not (max_abs <= BLOWUP_LIMIT):
                 if math.isnan(max_abs):
                     max_abs = float("inf")

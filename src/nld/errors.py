@@ -52,8 +52,9 @@ class BlowUpError(NldError):
     ``step`` is the index of the first offending state (state 0 is the
     initial condition).  ``record`` holds the trajectory up to the last
     healthy state so callers can inspect how the run failed.  ``cause`` is
-    the :class:`DegenerateRowError` or :class:`BandwidthError` of a step
-    whose kernel could not be built (max_abs is then inf: no state), else None.
+    the :class:`NonFiniteError`, :class:`DegenerateRowError` or
+    :class:`BandwidthError` of a step whose kernel could not be built or
+    normalized (max_abs is then inf: no state), else None.
     """
 
     def __init__(self, step: int, max_abs: float, record=None, cause=None):

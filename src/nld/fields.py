@@ -2,8 +2,7 @@
 
 A field is an (M, d) array of float64: M positions, each carrying a
 d-channel feature vector.  Fields are immutable; every operator returns a
-new one.  Matrices travel as plain CSV (:func:`save_matrix_csv`,
-:func:`load_matrix_csv`).
+new one.  Matrices are read from plain CSV (:func:`load_matrix_csv`).
 """
 
 from __future__ import annotations
@@ -46,18 +45,6 @@ class FeatureField:
     @property
     def num_channels(self) -> int:
         return self.values.shape[1]
-
-
-def save_matrix_csv(A: np.ndarray) -> str:
-    """Serialize a 2-d array as plain CSV (no header), full float64 precision."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in A:
-        writer.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
 
 
 def load_matrix_csv(text: str) -> np.ndarray:

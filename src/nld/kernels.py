@@ -11,8 +11,9 @@ The affinity and row-normalization arithmetic lives in one batched core
 (``_kernel_fwd`` / ``_kernel_bwd`` and ``_rownorm_fwd`` /
 ``_rownorm_bwd``) on stacks of (B, M, d) fields.  :func:`build_kernel_matrix`
 and :func:`normalize_rows` run it on a batch of one; the network runs it
-on minibatches and differentiates through it.  :func:`eval_affinity` is
-the scalar, one-pair-at-a-time reference the tests hold the core to.
+on minibatches and differentiates through it.  The tests hold the core
+to a scalar, one-pair-at-a-time reference (``eval_affinity`` in
+``tests/conftest.py``).
 
 The core writes every result the size of a kernel or a field into buffers
 its caller passes: the network passes views of its per-run workspace, so
@@ -158,15 +159,6 @@ def median_bandwidth(field: FeatureField) -> float:
     return med
 
 
-def resolve_bandwidth(spec: AffinityKernelSpec, field: FeatureField) -> float:
-    """The bandwidth an rbf spec will actually use against this field."""
-    if spec.variant != RBF:
-        raise ValueError("resolve_bandwidth only applies to rbf specs")
-    if spec.bandwidth is not None:
-        return float(spec.bandwidth)
-    return median_bandwidth(field)
-
-
 def embed_field(field: FeatureField, theta: np.ndarray) -> FeatureField:
     """Project every feature vector through theta: rows become theta @ x_i."""
     th = np.asarray(theta, dtype=np.float64)
@@ -177,37 +169,6 @@ def embed_field(field: FeatureField, theta: np.ndarray) -> FeatureField:
             f"theta maps {th.shape[1]} channels but the field has {field.num_channels}"
         )
     return FeatureField(field.values @ th.T)
-
-
-def eval_affinity(spec: AffinityKernelSpec, i: int, j: int, field: FeatureField) -> float:
-    """Affinity between positions i and j.  Scalar reference semantics.
-
-    The dirac_delta variant compares *indices*, not feature values, so it
-    stays an identity even when two positions carry equal features.
-    """
-    M = field.num_positions
-    if not (0 <= i < M and 0 <= j < M):
-        raise IndexError(f"position index out of range: ({i}, {j}) for M={M}")
-    if spec.variant == DIRAC_DELTA:
-        return 1.0 if i == j else 0.0
-    if spec.variant == EMBEDDED:
-        return eval_affinity(spec.inner, i, j, embed_field(field, spec.theta))
-    xi = field.values[i]
-    xj = field.values[j]
-    with np.errstate(over="ignore"):
-        if spec.variant == GAUSSIAN:
-            w = float(np.exp(np.dot(xi, xj)))
-        elif spec.variant == DOT_PRODUCT:
-            w = float(np.dot(xi, xj))
-        elif spec.variant == RBF:
-            h = resolve_bandwidth(spec, field)
-            diff = xi - xj
-            w = float(np.exp(-np.dot(diff, diff) / (2.0 * h * h)))
-        else:
-            raise ValueError(f"unknown kernel variant {spec.variant!r}")
-    if not np.isfinite(w):
-        raise NonFiniteError(f"affinity overflowed: {w!r}")
-    return w
 
 
 # ---------------------------------------------------------------------------

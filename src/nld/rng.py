@@ -13,8 +13,8 @@ multiply wraps mod 2**64).  ``u64s``, ``uniforms``, ``normals`` and
 would, so they equal the scalar stream bit for bit, however block and
 scalar draws interleave.  The Box-Muller tail stays on ``math.log`` and
 ``math.cos``: numpy's SIMD versions can differ from them by an ulp.  The
-scalar ``uniform``, ``normal`` and ``randint`` are the reference the block
-draws are tested against.
+tests hold the block draws to scalar ``uniform``, ``normal`` and
+``randint`` draws built on ``next_u64``, which live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _mix_block(z: np.ndarray) -> np.ndarray:
 
 
 def _unit(u: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits, as ``uniform`` makes them."""
+    """Doubles in [0, 1) from the top 53 bits of each output."""
     return (u >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -57,7 +57,8 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def _fisher_yates(seq, draws) -> None:
-    """In-place Fisher-Yates, swap i taking ``randint(i + 1)`` from ``draws``."""
+    """In-place Fisher-Yates; swap i maps the next of ``draws`` onto [0, i]
+    by 128-bit multiply-shift."""
     for i, u in zip(range(len(seq) - 1, 0, -1), draws):
         j = (u * (i + 1)) >> 64
         seq[i], seq[j] = seq[j], seq[i]
@@ -82,7 +83,7 @@ def derive_seed(master: int, *parts: int | str) -> int:
 
 
 class SplitMix64:
-    """splitmix64 stream with uniform / normal / integer helpers."""
+    """splitmix64 stream with block uniform / normal / shuffle draws."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
@@ -97,24 +98,6 @@ class SplitMix64:
         block = _mix_block(np.uint64(self._state) + counters)
         self._state = (self._state + n * _GAMMA) & _MASK64
         return block
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1), 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        """Single standard normal draw (Box-Muller; consumes two outputs)."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        # 1 - u1 lies in (0, 1], so the log never sees zero.
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        return r * math.cos(2.0 * math.pi * u2)
-
-    def randint(self, n: int) -> int:
-        """Integer uniform on [0, n) via 128-bit multiply-shift."""
-        if n <= 0:
-            raise ValueError("randint requires n >= 1")
-        return (self.next_u64() * n) >> 64
 
     def shuffle(self, seq) -> None:
         """In-place Fisher-Yates shuffle."""

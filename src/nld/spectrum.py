@@ -327,11 +327,6 @@ def _classify(vals: np.ndarray):
     return num_pos, num_neg, "mixed"
 
 
-def classify_spectrum(eigenvalues) -> str:
-    """Apply the damping classification rule to a kept eigenvalue list."""
-    return _classify(np.asarray(eigenvalues, dtype=np.float64))[2]
-
-
 def spectrum_report(W: np.ndarray, top_k: int = DEFAULT_TOP_K) -> SpectrumReport:
     """Symmetrize, decompose, keep the top_k eigenvalues by value, classify."""
     if top_k < 1:

@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +26,87 @@ def exchange_kernel():
 @pytest.fixture
 def two_state_field():
     return nld.FeatureField(np.array([[1.0], [-1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers: the scalar draws and affinity that ``nld``'s block
+# draws and batched kernel core are held to, the damping classifier on a
+# plain list, and a matrix-CSV writer for test inputs.
+# ---------------------------------------------------------------------------
+
+
+def uniform(rng):
+    """The next uniform double in [0, 1) of ``rng``'s stream, 53 random bits."""
+    return (rng.next_u64() >> 11) * 2.0**-53
+
+
+def normal(rng):
+    """The next standard normal of ``rng``'s stream (Box-Muller; consumes two outputs)."""
+    u1 = uniform(rng)
+    u2 = uniform(rng)
+    # 1 - u1 lies in (0, 1], so the log never sees zero.
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))
+    return r * math.cos(2.0 * math.pi * u2)
+
+
+def randint(rng, n):
+    """The next integer uniform on [0, n) of ``rng``'s stream, by 128-bit multiply-shift."""
+    if n <= 0:
+        raise ValueError("randint requires n >= 1")
+    return (rng.next_u64() * n) >> 64
+
+
+def eval_affinity(spec, i, j, field):
+    """Affinity between positions i and j of ``field``, one pair at a time.
+
+    The dirac_delta variant compares *indices*, not feature values, so it
+    stays an identity even when two positions carry equal features.
+    """
+    M = field.num_positions
+    if not (0 <= i < M and 0 <= j < M):
+        raise IndexError(f"position index out of range: ({i}, {j}) for M={M}")
+    if spec.variant == nld.DIRAC_DELTA:
+        return 1.0 if i == j else 0.0
+    if spec.variant == nld.EMBEDDED:
+        return eval_affinity(spec.inner, i, j, nld.FeatureField(field.values @ spec.theta.T))
+    xi = field.values[i]
+    xj = field.values[j]
+    with np.errstate(over="ignore"):
+        if spec.variant == nld.GAUSSIAN:
+            w = float(np.exp(np.dot(xi, xj)))
+        elif spec.variant == nld.DOT_PRODUCT:
+            w = float(np.dot(xi, xj))
+        elif spec.variant == nld.RBF:
+            h = float(spec.bandwidth) if spec.bandwidth is not None else nld.median_bandwidth(field)
+            diff = xi - xj
+            w = float(np.exp(-np.dot(diff, diff) / (2.0 * h * h)))
+        else:
+            raise ValueError(f"unknown kernel variant {spec.variant!r}")
+    if not np.isfinite(w):
+        raise nld.NonFiniteError(f"affinity overflowed: {w!r}")
+    return w
+
+
+def classify_spectrum(eigenvalues):
+    """The damping classification of a kept eigenvalue list."""
+    return nld.spectrum._classify(np.asarray(eigenvalues, dtype=np.float64))[2]
+
+
+def save_matrix_csv(A):
+    """A 2-d array as plain CSV (no header), full float64 precision."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in A:
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Fields, kernels and steps.
+# ---------------------------------------------------------------------------
 
 
 def make_field(seed, M, d):

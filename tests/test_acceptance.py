@@ -40,9 +40,8 @@ from nld import (
 )
 from nld.cli import main
 from nld.dynamics import BLOWUP_LIMIT, OriginalStepper
-from nld.fields import save_matrix_csv
 
-from conftest import l2_ratios, net_gradients, net_loss, step_states, sup_norms
+from conftest import l2_ratios, net_gradients, net_loss, randint, save_matrix_csv, step_states, sup_norms
 
 
 def test_operator_identity_battery():
@@ -53,8 +52,8 @@ def test_operator_identity_battery():
     worst_quad = -math.inf
     for i in range(100):
         rng = SplitMix64(derive_seed(1, "instance", i))
-        M = 2 + int(rng.randint(31))
-        d = 1 + int(rng.randint(4))
+        M = 2 + int(randint(rng, 31))
+        d = 1 + int(randint(rng, 4))
         K = symmetric_stochastic_kernel(FeatureField(rng.normals((M, d))))
         Z = rng.normals((M, d))
         const = FeatureField(np.full((M, d), 0.7))
@@ -82,8 +81,8 @@ def test_markov_residual_equivalence_battery():
     worst = 0.0
     for i in range(20):
         rng = SplitMix64(derive_seed(2, "instance", i))
-        M = 2 + int(rng.randint(15))
-        d = 1 + int(rng.randint(3))
+        M = 2 + int(randint(rng, 15))
+        d = 1 + int(randint(rng, 3))
         K = symmetric_stochastic_kernel(FeatureField(rng.normals((M, d))))
         Z0 = FeatureField(rng.normals((M, d)))
         markov = step_states(MarkovStepper(K), Z0, 100)
@@ -182,7 +181,7 @@ def test_eigensolver_battery():
     start = time.monotonic()
     for i in range(50):
         rng = SplitMix64(derive_seed(7, "instance", i))
-        n = 2 + int(rng.randint(63))
+        n = 2 + int(randint(rng, 63))
         A = symmetrize(rng.normals((n, n)))
         vals, vecs = eig_symmetric(A)
         fnorm = float(np.linalg.norm(A))

@@ -31,7 +31,8 @@ from nld.cli import (
     main,
     resolve_config,
 )
-from nld.fields import save_matrix_csv
+
+from conftest import save_matrix_csv
 
 
 def _benchmark_workloads():
@@ -400,6 +401,25 @@ def test_verify_theory_unstable_weight_is_expected_fail(tmp_path):
     assert check_by_name(report, "mean_preservation")["status"] in ("pass", "expected_fail")
 
 
+@pytest.mark.parametrize("weight, step", [(3.0, 39), (-0.5, 67)])
+def test_verify_theory_unstable_weight_blow_up_is_expected_fail(tmp_path, capsys, weight, step):
+    # At the default 120 steps an unstable weight passes the blow-up guard:
+    # the run reports it as a negative control on the states before it.
+    code, out = run_cli(tmp_path, "verify-theory", {"weight": weight})
+    assert code == 0
+    report = read_report(out)
+    assert report["overall"] == "pass"
+    assert check_by_name(report, "cfl_radius")["detail"] == "unstable"
+    check = check_by_name(report, "finite_trajectory")
+    assert (check["status"], check["detail"]) == ("expected_fail", f"blow-up at step {step}")
+    assert check["measured"] > check["threshold"] == 1e12
+    for name in ("mean_preservation", "variance_decay"):
+        assert check_by_name(report, name)["status"] == "expected_fail", name
+    assert set(report["artifacts"]) == {"trajectory.csv", "report.json"}
+    assert len((out / "trajectory.csv").read_text().splitlines()) == step + 1
+    assert "[EXPECTED_FAIL] finite_trajectory" in capsys.readouterr().out
+
+
 _FLAGS_DETAIL = '{"doubly_stochastic": true, "nonnegative": true, "row_stochastic": true, "symmetric": true}'
 _NO_PREDICTION = "contraction spectrum not positive; no exponential prediction"
 
@@ -610,7 +630,7 @@ def test_evolve_original_kernel_overflow_is_a_named_blowup(tmp_path, capsys):
     assert code == 1
     check = check_by_name(read_report(out), "finite_trajectory")
     assert check["status"] == "fail"
-    assert check["detail"] == "blow-up at step 5"
+    assert check["detail"] == "blow-up at step 5: affinity overflowed at pair (0, 0)"
     assert check["measured"] == math.inf
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 6  # header plus the 5 finite states
@@ -1116,6 +1136,17 @@ def test_compare_duplicate_variants_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "config rejected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stepper", ["original", "proposed"])
+def test_evolve_embedded_theta_of_another_width_exits_2(tmp_path, capsys, stepper):
+    kernel = {"variant": "embedded", "theta": [[1.0, 0.0, 0.0]], "inner": {"variant": "gaussian"}}
+    code, out = run_cli(
+        tmp_path, "evolve", {"stepper": stepper, "num_positions": 4, "num_channels": 2, "kernel": kernel}
+    )
+    assert code == 2
+    assert "theta maps 3 channels but the field has 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -784,6 +784,19 @@ def test_original_stepper_degenerate_row_is_the_blow_up_cause():
     assert err.value.record.steps == 0 and err.value.record.mean.shape == (1, 1)
 
 
+def test_original_stepper_affinity_overflow_is_the_blow_up_cause():
+    # Z <- Z + 2 P Z triples the state each step; by step 5 exp(x . x)
+    # overflows while the state is still far below the blow-up guard.
+    Z0 = FeatureField(np.array([[1.0], [0.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError, match=r"step 5 \(max abs inf\): affinity overflowed at pair \(0, 0\)$") as err:
+            evolve(Z0, OriginalStepper(AffinityKernelSpec.gaussian(), 2.0), 50)
+    assert (err.value.step, err.value.max_abs) == (5, math.inf)
+    assert type(err.value.cause) is NonFiniteError
+    assert err.value.record.steps == 4 and err.value.record.mean.shape == (5, 1)
+
+
 def test_original_stepper_collapsed_median_bandwidth_is_the_blow_up_cause():
     # Coincident positions have a median pairwise distance of 0.
     Z0 = FeatureField(np.full((3, 2), 0.25))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from nld import FeatureField, NonFiniteError, load_matrix_csv, save_matrix_csv
+from nld import FeatureField, NonFiniteError, load_matrix_csv
+
+from conftest import save_matrix_csv
 
 
 def test_dimensions_and_accessors():

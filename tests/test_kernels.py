@@ -18,7 +18,6 @@ from nld import (
     NonFiniteError,
     RowSumOverflowError,
     build_kernel_matrix,
-    eval_affinity,
     median_bandwidth,
     normalize_rows,
     sinkhorn_normalize,
@@ -27,7 +26,7 @@ from nld import (
 
 from nld.net import NetworkConfig, StageConfig, _stage_fwd, _Workspace
 
-from conftest import make_field
+from conftest import eval_affinity, make_field
 
 
 # ---------------------------------------------------------------------------

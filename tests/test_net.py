@@ -30,7 +30,16 @@ from nld import net
 from nld.cli import _hyper_from, _net_config_from, _task_from, resolve_config
 from nld.net import _block_bwd, _block_fwd, softmax_cross_entropy
 
-from conftest import agreement_count, flat_grads, label_from_field, net_forward, net_gradients, net_loss
+from conftest import (
+    agreement_count,
+    flat_grads,
+    label_from_field,
+    net_forward,
+    net_gradients,
+    net_loss,
+    normal,
+    randint,
+)
 
 
 def small_config(stage=None, trunk_blocks=2, M=5, d=2, C=2, H=3):
@@ -341,16 +350,16 @@ def scalar_task(M, d, num_classes, num_samples, seed):
     rng = SplitMix64(derive_seed(seed, "task"))
     labels = [s % num_classes for s in range(num_samples)]
     for i in range(num_samples - 1, 0, -1):
-        j = rng.randint(i + 1)
+        j = randint(rng, i + 1)
         labels[i], labels[j] = labels[j], labels[i]
     levels = [int(round(y * d * d / (num_classes - 1))) for y in range(num_classes)]
     cells = [(i, c) for i in range(d) for c in range(d)]
     values = np.empty((num_samples, M, d))
     for s in range(num_samples):
-        base = np.array([[rng.normal() for _ in range(d)] for _ in range(M)])
+        base = np.array([[normal(rng) for _ in range(d)] for _ in range(M)])
         order = list(cells)
         for i in range(len(order) - 1, 0, -1):
-            j = rng.randint(i + 1)
+            j = randint(rng, i + 1)
             order[i], order[j] = order[j], order[i]
         agree = set(order[: levels[labels[s]]])
         for (i, c) in cells:
@@ -985,7 +994,7 @@ def test_softmax_cross_entropy_equals_its_one_hot_definition(B, C, scale, ties, 
     logits = scale * rng.normals((B, C))
     if ties:
         logits = np.floor(logits)
-    labels = np.array([rng.randint(C) for _ in range(B)])
+    labels = np.array([randint(rng, C) for _ in range(B)])
     loss, acc, dlogits = softmax_cross_entropy(logits, labels)
     want_loss, want_acc, want_dlogits = one_hot_softmax_cross_entropy(logits, labels)
     assert type(loss) is float and type(acc) is float

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from nld import SplitMix64, derive_seed
 
+from conftest import normal, randint, uniform
+
 
 # First outputs of the reference splitmix64 stream for seed 0 and a
 # nonzero seed, as published with the algorithm.
@@ -42,7 +44,7 @@ def test_different_seeds_differ():
 
 def test_uniform_range_and_determinism():
     rng = SplitMix64(7)
-    vals = [rng.uniform() for _ in range(2000)]
+    vals = [uniform(rng) for _ in range(2000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert abs(np.mean(vals) - 0.5) < 0.02
 
@@ -59,7 +61,7 @@ def test_normals_moments_and_shape():
 
 def test_randint_range():
     rng = SplitMix64(13)
-    vals = [rng.randint(6) for _ in range(600)]
+    vals = [randint(rng, 6) for _ in range(600)]
     assert set(vals) == {0, 1, 2, 3, 4, 5}
 
 
@@ -87,8 +89,8 @@ def test_derive_seed_accepts_ints_and_strings():
         derive_seed(3, 1.5)
 
 
-# Block draws against the scalar stream.  The scalar ``next_u64``,
-# ``uniform``, ``normal`` and ``randint`` are the oracle.
+# Block draws against the scalar stream.  The scalar ``next_u64`` and the
+# conftest ``uniform``, ``normal`` and ``randint`` built on it are the oracle.
 
 SEEDS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 LENGTHS = st.sampled_from([0, 1, 7]) | st.integers(0, 65)
@@ -96,7 +98,7 @@ LENGTHS = st.sampled_from([0, 1, 7]) | st.integers(0, 65)
 
 def scalar_shuffle(rng, seq):
     for i in range(len(seq) - 1, 0, -1):
-        j = rng.randint(i + 1)
+        j = randint(rng, i + 1)
         seq[i], seq[j] = seq[j], seq[i]
 
 
@@ -104,9 +106,9 @@ def scalar_draw(rng, kind, n):
     if kind == "u64s":
         return np.array([rng.next_u64() for _ in range(n)], dtype=np.uint64)
     if kind == "uniforms":
-        return np.array([-0.5 + (2.0 - -0.5) * rng.uniform() for _ in range(n)])
+        return np.array([-0.5 + (2.0 - -0.5) * uniform(rng) for _ in range(n)])
     if kind == "normals":
-        return np.array([rng.normal() for _ in range(n)])
+        return np.array([normal(rng) for _ in range(n)])
     if kind == "shuffle":
         items = list(range(n))
         scalar_shuffle(rng, items)

@@ -11,7 +11,6 @@ from nld import (
     NonFiniteError,
     SpectrumReport,
     SplitMix64,
-    classify_spectrum,
     derive_seed,
     eig_symmetric,
     spectrum_report,
@@ -20,7 +19,7 @@ from nld import (
 from nld import cli, kernels, spectrum
 from nld.spectrum import _pair_entries, _round_robin_gather, _round_robin_shift
 
-from conftest import eig_symmetric_two_halves
+from conftest import classify_spectrum, eig_symmetric_two_halves
 
 
 def random_symmetric(seed, n):
