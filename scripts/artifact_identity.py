@@ -12,8 +12,10 @@ The same op list then runs through ``nld.cli.main`` once per checkout, in
 a fresh process that imports ``nld`` from that checkout's ``src``.  Every
 artifact is compared byte for byte; ``report.json`` is compared after its
 ``wall_time_seconds`` and its config's ``out_dir`` and ``input_path`` are
-dropped.  The script prints how many artifacts it compared and each path
-that differs or exists on one side only, and exits 1 on any difference.
+dropped.  The script prints how many artifacts it compared, each path
+that differs (``DIFFERS:``) and each that exists on one side only
+(``ONLY IN PARENT:`` or ``ONLY IN CHANGE:``), and exits 1 on any
+difference.
 An op's outcome is its exit code, or the type and message of the exception
 it raised; an op whose outcome differs between the checkouts is a
 difference too.
@@ -105,12 +107,11 @@ def _files(root: Path) -> set:
 
 
 def compare_trees(a: Path, b: Path):
-    """(number compared, paths that differ or exist on one side only)."""
+    """(number compared, paths that differ, paths only in a, paths only in b)."""
     names_a, names_b = _files(a), _files(b)
-    differ = sorted(names_a ^ names_b)
     common = sorted(names_a & names_b)
-    differ += [n for n in common if _normalized(a / n) != _normalized(b / n)]
-    return len(common), sorted(differ)
+    differ = [n for n in common if _normalized(a / n) != _normalized(b / n)]
+    return len(common), differ, sorted(names_a - names_b), sorted(names_b - names_a)
 
 
 def _history_summary(path: Path) -> str:
@@ -193,16 +194,17 @@ def main(argv=None) -> int:
         outcomes = {}
         for side, checkout in (("parent", args.parent), ("change", args.change)):
             outcomes[side] = run_ops(checkout, ops, work / side, work / f"{side}-ops.json")
-        compared, differ = compare_trees(work / "parent", work / "change")
-        moved = {}
-        for name in differ:
-            a, b = work / "parent" / name, work / "change" / name
-            if a.is_file() and b.is_file():
-                moved[name] = movement(a, b)
+        compared, differ, only_parent, only_change = compare_trees(work / "parent", work / "change")
+        moved = {name: movement(work / "parent" / name, work / "change" / name) for name in differ}
 
-    print(f"{len(ops)} ops, {compared} artifacts compared, {len(differ)} differ")
+    one_sided = len(only_parent) + len(only_change)
+    print(f"{len(ops)} ops, {compared} artifacts compared, {len(differ) + one_sided} differ")
     for name in differ:
-        print(f"DIFFERS: {name}" + (f"  ({moved[name]})" if moved.get(name) else ""))
+        print(f"DIFFERS: {name}" + (f"  ({moved[name]})" if moved[name] else ""))
+    for name in only_parent:
+        print(f"ONLY IN PARENT: {name}")
+    for name in only_change:
+        print(f"ONLY IN CHANGE: {name}")
     exit_differ = [
         (out, a, b) for (_, out), a, b in zip(ops, outcomes["parent"], outcomes["change"]) if a != b
     ]
@@ -211,7 +213,7 @@ def main(argv=None) -> int:
     failed = sum(1 for c in outcomes["change"] if c != 0)
     if failed:
         print(f"note: {failed} ops exited nonzero or raised on the change side")
-    return 1 if differ or exit_differ else 0
+    return 1 if differ or one_sided or exit_differ else 0
 
 
 if __name__ == "__main__":

@@ -412,11 +412,14 @@ def kernel_spec_from_config(doc: dict) -> kernels.AffinityKernelSpec:
 
 def _seeded_field(seed: int, label: str, M: int, d: int, kind="normal", scale=1.0) -> FeatureField:
     rng = SplitMix64(derive_seed(seed, label))
-    if kind == "normal":
-        return FeatureField(scale * rng.normals((M, d)))
     if kind == "uniform":
         return FeatureField(rng.uniforms((M, d), -scale, scale))
-    raise ConfigError(f"unknown initial kind {kind!r}")
+    return FeatureField(scale * rng.normals((M, d)))
+
+
+def _blowup_detail(err: BlowUpError) -> str:
+    """The finite_trajectory detail of a trajectory that blew up."""
+    return f"blow-up at step {err.step}" + ("" if err.cause is None else f": {err.cause}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +485,7 @@ def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
                 verdict.stable,
                 err.max_abs,
                 dynamics.BLOWUP_LIMIT,
-                detail=f"blow-up at step {err.step}",
+                detail=_blowup_detail(err),
             )
         )
     mean_rep = dynamics.verify_mean_preservation(traj)
@@ -510,9 +513,9 @@ def cmd_verify_theory(config: dict, report: RunReport, out_dir: Path) -> None:
     )
 
     vals, vecs = K.spectrum()
-    lam2 = float(vals[1])
-    factor = 1.0 - w * (1.0 - lam2)
-    min_factor = float(np.min(1.0 + w * (vals - 1.0)))
+    amps = dynamics.mode_amplification(vals, w)
+    factor = float(amps[1])
+    min_factor = float(np.min(amps))
     if 0.0 < factor < 1.0 and min_factor > 0.0:
         prediction = -np.log(factor)
         try:
@@ -610,7 +613,7 @@ def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
                 "fail",
                 measured=err.max_abs,
                 threshold=dynamics.BLOWUP_LIMIT,
-                detail=f"blow-up at step {err.step}" + ("" if err.cause is None else f": {err.cause}"),
+                detail=_blowup_detail(err),
             )
         )
     report.artifacts.append(_write_text(out_dir, "trajectory.csv", traj.to_csv()))

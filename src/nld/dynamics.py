@@ -285,20 +285,28 @@ class StabilityVerdict:
     critical_weight: float
 
 
+def mode_amplification(vals: np.ndarray, w: float) -> np.ndarray:
+    """1 + w (mu - 1) for each kernel eigenvalue mu: the factor by which
+    Z <- Z + w (K Z - Z) multiplies the eigenmode at mu.
+
+    It equals 1 - w (1 - mu) bitwise, since fl(mu - 1) = -fl(1 - mu).
+    """
+    return 1.0 + float(w) * (vals - 1.0)
+
+
 def cfl_verdict(K: KernelMatrix, w: float) -> StabilityVerdict:
     """Spectral stability of Z <- Z + w (K Z - Z).
 
-    The update multiplies the eigenmode at kernel eigenvalue mu by
-    1 + w (mu - 1), so the scheme is stable exactly when the largest such
-    magnitude stays at or below 1.  critical_weight is the largest
-    nonnegative scalar weight for which that holds.
+    The scheme is stable exactly when the largest magnitude of a
+    :func:`mode_amplification` stays at or below 1.  critical_weight is
+    the largest nonnegative scalar weight for which that holds.
     """
     if not K.symmetric:
         raise ValueError("the spectral stability criterion needs a symmetric kernel")
     if not K.doubly_stochastic:
         raise ValueError("the spectral stability criterion needs a doubly stochastic kernel")
     vals, _ = K.spectrum()
-    amps = np.abs(1.0 + float(w) * (vals - 1.0))
+    amps = np.abs(mode_amplification(vals, w))
     radius = float(np.max(amps))
     mu_min = float(np.min(vals))
     critical = float("inf") if mu_min >= 1.0 else 2.0 / (1.0 - mu_min)

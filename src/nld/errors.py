@@ -67,7 +67,8 @@ class BlowUpError(NldError):
 
 
 class DivergenceError(NldError):
-    """A network forward pass produced non-finite activations."""
+    """A network pass left the finite numbers: non-finite activations or
+    logits, a stage affinity that overflowed, or a non-finite loss."""
 
 
 class InsufficientDataError(NldError):

@@ -114,26 +114,6 @@ class AffinityKernelSpec:
         elif self.theta is not None or self.inner is not None:
             raise ValueError("theta/inner only apply to the embedded variant")
 
-    @classmethod
-    def gaussian(cls) -> "AffinityKernelSpec":
-        return cls(GAUSSIAN)
-
-    @classmethod
-    def dot_product(cls) -> "AffinityKernelSpec":
-        return cls(DOT_PRODUCT)
-
-    @classmethod
-    def rbf(cls, bandwidth: Optional[float] = None) -> "AffinityKernelSpec":
-        return cls(RBF, bandwidth=bandwidth)
-
-    @classmethod
-    def dirac_delta(cls) -> "AffinityKernelSpec":
-        return cls(DIRAC_DELTA)
-
-    @classmethod
-    def embedded(cls, theta: np.ndarray, inner: "AffinityKernelSpec") -> "AffinityKernelSpec":
-        return cls(EMBEDDED, theta=theta, inner=inner)
-
 
 def _check_bandwidth(h: float, what: str) -> None:
     """Raises :class:`BandwidthError` unless h > 0 and 2 h^2, the rbf divisor, is a normal float."""
@@ -395,7 +375,7 @@ def _affinities(V: np.ndarray, spec: AffinityKernelSpec) -> np.ndarray:
         V = embed_field(FeatureField(V), spec.theta).values
         spec = spec.inner
     if spec.variant == RBF and spec.bandwidth is None:
-        spec = AffinityKernelSpec.rbf(median_bandwidth(FeatureField(V)))
+        spec = AffinityKernelSpec(RBF, bandwidth=median_bandwidth(FeatureField(V)))
     M, d = V.shape
     omega = np.empty((1, M, M))
     with np.errstate(over="ignore"):
@@ -485,5 +465,5 @@ def symmetric_stochastic_kernel(
     on: rbf guarantees positive entries, and Sinkhorn's tight default
     tolerance leaves the stochastic flags verified rather than approximate.
     """
-    raw = build_kernel_matrix(field, AffinityKernelSpec.rbf(bandwidth))
+    raw = build_kernel_matrix(field, AffinityKernelSpec(RBF, bandwidth=bandwidth))
     return sinkhorn_normalize(raw, tol=tol)

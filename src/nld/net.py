@@ -250,6 +250,21 @@ def _block_bwd(W1, W2, gain, cache, G, gW1, gW2, input_grad):
     return dZ
 
 
+def _stage_kernel(kernel: AffinityKernelSpec, Z, omega, P, C, gram):
+    """The row-normalized kernel of the batch Z, written into omega, P and
+    the row sums C; returns the kernel backward's aux.  A non-finite
+    affinity makes its row sum non-finite, which the row normalization
+    rejects before it writes P: that is the stage's overflow."""
+    kaux = _kernel_fwd(kernel, Z, omega, gram)
+    try:
+        _rownorm_fwd(omega, P, C)
+    except DegenerateRowError:
+        if not np.isfinite(omega).all():
+            raise DivergenceError("stage affinity overflowed") from None
+        raise
+    return kaux
+
+
 def _stage_fwd(stage: StageConfig, Ws, Z, ws):
     """The stage on the (B, M, d) batch Z, written into the workspace ``ws``;
     returns the output and the backward cache, views into ``ws``."""
@@ -257,10 +272,7 @@ def _stage_fwd(stage: StageConfig, Ws, Z, ws):
     cur = Z
     if stage.formulation == PROPOSED:
         omega, P, C = v.kernels[0]
-        kaux = _kernel_fwd(stage.kernel, Z, omega, v.gram)
-        if not np.isfinite(omega, out=v.finite).all():
-            raise DivergenceError("stage affinity overflowed")
-        _rownorm_fwd(omega, P, C)
+        kaux = _stage_kernel(stage.kernel, Z, omega, P, C, v.gram)
         Zs = [Z]
         for W, (D, nxt), (D_rows, nxt_rows) in zip(Ws, v.steps, v.step_rows):
             np.matmul(P, cur, out=D)
@@ -268,15 +280,12 @@ def _stage_fwd(stage: StageConfig, Ws, Z, ws):
             np.matmul(D_rows, _transposed(W), out=nxt_rows)
             cur = np.add(cur, nxt, out=nxt)
             Zs.append(cur)
-        return cur, (omega, kaux, P, C, Zs, v.updates)
+        return cur, (omega, kaux, P, C, Zs)
     subs = []
     for W, (omega, P, C), (Y, nxt), (Y_rows, nxt_rows) in zip(Ws, v.kernels, v.steps, v.step_rows):
-        kaux = _kernel_fwd(stage.kernel, cur, omega, v.gram)
-        if not np.isfinite(omega, out=v.finite).all():
-            raise DivergenceError("stage affinity overflowed")
-        _rownorm_fwd(omega, P, C)
+        kaux = _stage_kernel(stage.kernel, cur, omega, P, C, v.gram)
         np.matmul(P, cur, out=Y)
-        subs.append((cur, omega, kaux, P, C, Y))
+        subs.append((cur, omega, kaux, P, C))
         np.matmul(Y_rows, _transposed(W), out=nxt_rows)
         cur = np.add(cur, nxt, out=nxt)
     return cur, subs
@@ -293,7 +302,7 @@ def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs, ws):
     Gs, Gs_rows = v.stage_grads, v.stage_grad_rows
     G_rows = _rows(G)
     if stage.formulation == PROPOSED:
-        omega, kaux, P, C, Zs, _ = cache
+        omega, kaux, P, C, Zs = cache
         X = Zs[0]
         # dP sums from zeros, so a -0.0 term comes out +0.0; dOmega holds
         # each term until the row normalization's backward overwrites it.
@@ -312,7 +321,7 @@ def _stage_bwd(stage: StageConfig, Ws, cache, G, gWs, ws):
         # The last sub-block (n = 0) left G in Gs[0].
         return np.add(G, _kernel_bwd(stage.kernel, X, omega, kaux, dOmega, A, dV, AtV), out=Gs[1])
     for n in range(len(Ws) - 1, -1, -1):
-        Zn, omega, kaux, P, C, _ = cache[n]
+        Zn, omega, kaux, P, C = cache[n]
         np.matmul(G_rows.T, v.step_rows[n][0], out=gWs[n])
         np.matmul(G_rows, Ws[n], out=dD_rows)
         np.copyto(ZT, Zn.swapaxes(-1, -2))
@@ -387,8 +396,8 @@ class _Workspace:
         if stage is None:
             return
 
-        def stack(*shape, dtype=np.float64):
-            return np.empty((capacity, *shape), dtype=dtype)
+        def stack(*shape):
+            return np.empty((capacity, *shape))
 
         # The stage's kernels (omega, P and the row sums C): one for the
         # proposed stage, one per sub-block for the original.  Sub-block n
@@ -396,7 +405,6 @@ class _Workspace:
         n_kernels = 1 if stage.formulation == PROPOSED else stage.sub_blocks
         self.kernels = [(stack(M, M), stack(M, M), stack(M)) for _ in range(n_kernels)]
         self.steps = [(stack(M, d), stack(M, d)) for _ in range(stage.sub_blocks)]
-        self.finite = stack(M, M, dtype=bool)
         # The Gram's V^T, at the width the affinity is evaluated at.
         kernel = stage.kernel
         self.gram = stack(kernel.theta.shape[0] if kernel.variant == EMBEDDED else d, M)
@@ -439,11 +447,8 @@ class _Batch:
             self.kernels_T = [P.swapaxes(-1, -2) for _, P, _ in self.kernels]
             self.steps = [_cut(step, B) for step in ws.steps]
             self.step_rows = [tuple(_rows(a) for a in step) for step in self.steps]
-            # The proposed stage's cache lists each sub-block's D_n.
-            self.updates = [D for D, _ in self.steps]
             # The trunk block after the stage reads the stage output as rows.
             self.stage_output_rows = self.step_rows[-1][1]
-            self.finite = ws.finite[:B]
             self.gram = ws.gram[:B]
             self.stage_scratch = _cut(ws.stage_scratch, B)
             self.stage_scratch_rows = _rows(self.stage_scratch[0])

@@ -203,8 +203,8 @@ def test_gradient_check_battery():
         AffinityKernelSpec("gaussian"),
         AffinityKernelSpec("rbf", bandwidth=1.0),
         AffinityKernelSpec("dirac_delta"),
-        AffinityKernelSpec.embedded(
-            np.array([[0.3, -0.2], [0.1, 0.4]]), AffinityKernelSpec("gaussian")
+        AffinityKernelSpec(
+            "embedded", theta=np.array([[0.3, -0.2], [0.1, 0.4]]), inner=AffinityKernelSpec("gaussian")
         ),
     ]
     # A batch of one sample.

@@ -42,3 +42,25 @@ def test_an_op_that_raises_on_one_side_differs(tmp_path, capsys):
     assert "2 ops, 0 artifacts compared, 0 differ" in out
     assert "EXIT CODE DIFFERS: extra1-boom  (parent 'ValueError: bad op', change 0)" in out
     assert "extra0-ok" not in out
+
+
+WRITES_AN_ARTIFACT = (
+    "    from pathlib import Path\n"
+    "    out = Path(argv[-1])\n"
+    "    out.mkdir(parents=True)\n"
+    '    (out / "extra.txt").write_text("written")\n'
+    "    return 0\n"
+)
+
+
+def test_an_artifact_on_one_side_only_names_that_side(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", "    return 0\n")
+    change = stub_checkout(tmp_path / "change", WRITES_AN_ARTIFACT)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({}))
+    argv = [str(parent), str(change), "--extra", "ok", str(config)]
+    assert artifact_identity.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "1 ops, 0 artifacts compared, 1 differ" in out
+    assert "ONLY IN CHANGE: extra0-ok/extra.txt" in out
+    assert "DIFFERS" not in out

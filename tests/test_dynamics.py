@@ -79,17 +79,17 @@ def test_step_proposed_is_linear():
 
 def test_step_original_zero_weight_is_identity():
     Z = make_field(5, 4, 2).values
-    assert np.array_equal(step_original(Z, AffinityKernelSpec.rbf(bandwidth=1.0), 0.0), Z)
+    assert np.array_equal(step_original(Z, AffinityKernelSpec("rbf", bandwidth=1.0), 0.0), Z)
 
 
 def test_step_original_dirac_full_damping():
     Z = make_field(6, 5, 3).values
-    out = step_original(Z, AffinityKernelSpec.dirac_delta(), -1.0)
+    out = step_original(Z, AffinityKernelSpec("dirac_delta"), -1.0)
     assert np.array_equal(out, np.zeros((5, 3)))
 
 
 def test_step_original_single_position_halves():
-    out = step_original(np.array([[2.0]]), AffinityKernelSpec.gaussian(), -0.5)
+    out = step_original(np.array([[2.0]]), AffinityKernelSpec("gaussian"), -0.5)
     assert np.array_equal(out, np.array([[1.0]]))
 
 
@@ -103,13 +103,13 @@ def test_step_proposed_bitwise_arithmetic():
 @pytest.mark.parametrize(
     "spec",
     [
-        AffinityKernelSpec.gaussian(),
-        AffinityKernelSpec.rbf(),
-        AffinityKernelSpec.rbf(bandwidth=0.7),
-        AffinityKernelSpec.embedded(
-            np.array([[0.4, -0.7], [0.2, 0.9], [1.1, 0.3]]), AffinityKernelSpec.rbf()
+        AffinityKernelSpec("gaussian"),
+        AffinityKernelSpec("rbf"),
+        AffinityKernelSpec("rbf", bandwidth=0.7),
+        AffinityKernelSpec(
+            "embedded", theta=np.array([[0.4, -0.7], [0.2, 0.9], [1.1, 0.3]]), inner=AffinityKernelSpec("rbf")
         ),
-        AffinityKernelSpec.dot_product(),
+        AffinityKernelSpec("dot_product"),
     ],
     ids=["gaussian", "rbf_median", "rbf_bandwidth", "embedded", "dot_product"],
 )
@@ -126,7 +126,7 @@ def test_step_original_bitwise_arithmetic(spec):
     "make_stepper",
     [
         lambda K: ProposedStepper(K, 0.5),
-        lambda K: OriginalStepper(AffinityKernelSpec.gaussian(), -0.5),
+        lambda K: OriginalStepper(AffinityKernelSpec("gaussian"), -0.5),
         MarkovStepper,
     ],
     ids=["proposed", "original", "markov"],
@@ -147,7 +147,7 @@ def test_evolve_builds_one_field_per_step(monkeypatch, make_stepper):
 
 
 def test_step_original_is_not_linear():
-    spec = AffinityKernelSpec.rbf(bandwidth=1.0)
+    spec = AffinityKernelSpec("rbf", bandwidth=1.0)
     Z1 = make_field(7, 5, 2)
     Z2 = make_field(8, 5, 2)
     lhs = step_original(Z1.values + Z2.values, spec, -0.5)
@@ -482,13 +482,13 @@ def test_poincare_inequality_on_mean_zero_fields():
 
 def test_steady_state_zero_field_fixed_point():
     Z0 = FeatureField(np.zeros((3, 2)))
-    curve = sup_norms(OriginalStepper(AffinityKernelSpec.rbf(bandwidth=1.0), -0.5), Z0, 10)
+    curve = sup_norms(OriginalStepper(AffinityKernelSpec("rbf", bandwidth=1.0), -0.5), Z0, 10)
     assert curve[-1] == 0.0 and curve[-1] <= 1e-12
 
 
 def test_steady_state_single_position_geometric():
     Z0 = FeatureField(np.array([[2.0]]))
-    curve = sup_norms(OriginalStepper(AffinityKernelSpec.gaussian(), -0.5), Z0, 20)
+    curve = sup_norms(OriginalStepper(AffinityKernelSpec("gaussian"), -0.5), Z0, 20)
     assert curve[-1] == 2.0 * 0.5**20 and curve[-1] <= 2e-6
     assert curve[0] == 2.0 and len(curve) == 21
 
@@ -496,14 +496,14 @@ def test_steady_state_single_position_geometric():
 def test_steady_state_wrong_sign_blows_up():
     Z0 = FeatureField(np.array([[2.0]]))
     with pytest.raises(BlowUpError) as err:
-        evolve(Z0, OriginalStepper(AffinityKernelSpec.gaussian(), 0.5), 200)
+        evolve(Z0, OriginalStepper(AffinityKernelSpec("gaussian"), 0.5), 200)
     assert math.isinf(err.value.max_abs)
     assert l2_ratios(err.value.record)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_steady_state_not_converged():
     Z0 = FeatureField(np.array([[2.0]]))
-    curve = sup_norms(OriginalStepper(AffinityKernelSpec.gaussian(), -0.5), Z0, 3)
+    curve = sup_norms(OriginalStepper(AffinityKernelSpec("gaussian"), -0.5), Z0, 3)
     assert curve[-1] == 0.25 and curve[-1] > 1e-10
 
 
@@ -702,13 +702,13 @@ def test_non_finite_step_is_an_inf_blow_up_with_the_partial_record(monkeypatch, 
         (MarkovStepper(KernelMatrix.from_entries(np.full((2, 2), 0.5))),
          np.array([[1e300], [1e300]])),
         # The weight overflows the update to inf.
-        (OriginalStepper(AffinityKernelSpec.rbf(bandwidth=1.0), 1e300),
+        (OriginalStepper(AffinityKernelSpec("rbf", bandwidth=1.0), 1e300),
          np.array([[1e10], [-1e10]])),
         # The gaussian affinity overflows.
-        (OriginalStepper(AffinityKernelSpec.gaussian(), 2.0), np.array([[1.0], [0.5]])),
+        (OriginalStepper(AffinityKernelSpec("gaussian"), 2.0), np.array([[1.0], [0.5]])),
         # Row sums of 1e-290 against entries of 1e20 put +-inf in P, and
         # nan in P Z.
-        (OriginalStepper(AffinityKernelSpec.dot_product(), -0.5),
+        (OriginalStepper(AffinityKernelSpec("dot_product"), -0.5),
          np.array([[1e10, 1e-145], [-1e10, 1e-145], [0.0, 1e-145]])),
     ],
     ids=["proposed", "markov", "original_update", "original_affinity", "original_nan"],
@@ -723,11 +723,11 @@ def test_blow_up_runs_emit_no_runtime_warning(stepper, Z0):
 
 def test_original_array_step_names_the_overflowing_pair():
     Z = np.array([[1.0], [30.0], [0.5]])
-    stepper = OriginalStepper(AffinityKernelSpec.gaussian(), -0.5)
+    stepper = OriginalStepper(AffinityKernelSpec("gaussian"), -0.5)
     with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
         stepper.step(Z, 0, 1)
     with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
-        build_kernel_matrix(FeatureField(Z), AffinityKernelSpec.gaussian())
+        build_kernel_matrix(FeatureField(Z), AffinityKernelSpec("gaussian"))
 
 
 def test_original_stepper_stops_at_an_overflowed_row_sum():
@@ -736,7 +736,7 @@ def test_original_stepper_stops_at_an_overflowed_row_sum():
     # and evolve must end there as it does when an affinity overflows.
     z = math.sqrt(709.0)
     Z = np.array([[z], [z], [z], [0.0]])
-    stepper = OriginalStepper(AffinityKernelSpec.gaussian(), 0.5)
+    stepper = OriginalStepper(AffinityKernelSpec("gaussian"), 0.5)
     # A step leaves overflow warnings to its caller, as evolve does.
     with np.errstate(over="ignore"), pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
         stepper.step(Z, 0, 1)
@@ -777,7 +777,7 @@ def test_original_stepper_degenerate_row_is_the_blow_up_cause():
     # dot-product affinities of (1, -1) are [[1, -1], [-1, 1]]: row 0 sums to 0.
     Z0 = FeatureField(np.array([[1.0], [-1.0]]))
     with pytest.raises(BlowUpError) as err:
-        evolve(Z0, OriginalStepper(AffinityKernelSpec.dot_product(), -0.5), 5)
+        evolve(Z0, OriginalStepper(AffinityKernelSpec("dot_product"), -0.5), 5)
     assert (err.value.step, err.value.max_abs) == (1, math.inf)
     assert type(err.value.cause) is DegenerateRowError
     assert (err.value.cause.row, err.value.cause.row_sum) == (0, 0.0)
@@ -791,7 +791,7 @@ def test_original_stepper_affinity_overflow_is_the_blow_up_cause():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BlowUpError, match=r"step 5 \(max abs inf\): affinity overflowed at pair \(0, 0\)$") as err:
-            evolve(Z0, OriginalStepper(AffinityKernelSpec.gaussian(), 2.0), 50)
+            evolve(Z0, OriginalStepper(AffinityKernelSpec("gaussian"), 2.0), 50)
     assert (err.value.step, err.value.max_abs) == (5, math.inf)
     assert type(err.value.cause) is NonFiniteError
     assert err.value.record.steps == 4 and err.value.record.mean.shape == (5, 1)
@@ -803,7 +803,7 @@ def test_original_stepper_collapsed_median_bandwidth_is_the_blow_up_cause():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BlowUpError, match=r"step 1 \(max abs inf\): median pairwise distance 0.0") as err:
-            evolve(Z0, OriginalStepper(AffinityKernelSpec.rbf(), -0.5), 5)
+            evolve(Z0, OriginalStepper(AffinityKernelSpec("rbf"), -0.5), 5)
     assert (err.value.step, err.value.max_abs) == (1, math.inf)
     assert type(err.value.cause) is BandwidthError
     assert err.value.record.steps == 0 and err.value.record.mean.shape == (1, 2)

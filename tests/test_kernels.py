@@ -36,24 +36,24 @@ from conftest import eval_affinity, make_field
 
 def test_gaussian_zero_vectors():
     f = FeatureField(np.zeros((2, 3)))
-    assert eval_affinity(AffinityKernelSpec.gaussian(), 0, 1, f) == 1.0
+    assert eval_affinity(AffinityKernelSpec("gaussian"), 0, 1, f) == 1.0
 
 
 def test_gaussian_hand_value():
     f = FeatureField(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    v = eval_affinity(AffinityKernelSpec.gaussian(), 0, 1, f)
+    v = eval_affinity(AffinityKernelSpec("gaussian"), 0, 1, f)
     assert v == pytest.approx(math.exp(2.0), rel=1e-12)
     assert v == pytest.approx(7.3890560989, rel=1e-9)
 
 
 def test_dot_product_value_and_sign():
     f = FeatureField(np.array([[1.0, 2.0], [-3.0, 1.0]]))
-    assert eval_affinity(AffinityKernelSpec.dot_product(), 0, 1, f) == -1.0
+    assert eval_affinity(AffinityKernelSpec("dot_product"), 0, 1, f) == -1.0
 
 
 def test_dirac_delta_on_indices():
     f = FeatureField(np.array([[5.0], [5.0], [5.0], [1.0]]))
-    spec = AffinityKernelSpec.dirac_delta()
+    spec = AffinityKernelSpec("dirac_delta")
     assert eval_affinity(spec, 2, 2, f) == 1.0
     assert eval_affinity(spec, 2, 3, f) == 0.0
     # equal feature values at distinct indices still give 0
@@ -62,19 +62,19 @@ def test_dirac_delta_on_indices():
 
 def test_rbf_identical_rows_give_one():
     f = FeatureField(np.array([[2.0, 2.0], [2.0, 2.0]]))
-    assert eval_affinity(AffinityKernelSpec.rbf(bandwidth=0.7), 0, 1, f) == 1.0
+    assert eval_affinity(AffinityKernelSpec("rbf", bandwidth=0.7), 0, 1, f) == 1.0
 
 
 def test_rbf_hand_value():
     f = FeatureField(np.array([[0.0], [2.0]]))
-    v = eval_affinity(AffinityKernelSpec.rbf(bandwidth=1.0), 0, 1, f)
+    v = eval_affinity(AffinityKernelSpec("rbf", bandwidth=1.0), 0, 1, f)
     assert v == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_embedded_applies_projection():
     theta = np.array([[1.0, 0.0]])
     f = FeatureField(np.array([[1.0, 5.0], [1.0, -5.0]]))
-    spec = AffinityKernelSpec.embedded(theta, AffinityKernelSpec.gaussian())
+    spec = AffinityKernelSpec("embedded", theta=theta, inner=AffinityKernelSpec("gaussian"))
     # projected features are both (1.0); gaussian gives exp(1)
     assert eval_affinity(spec, 0, 1, f) == pytest.approx(math.exp(1.0), rel=1e-12)
 
@@ -82,21 +82,21 @@ def test_embedded_applies_projection():
 def test_index_out_of_range():
     f = FeatureField(np.zeros((2, 1)))
     with pytest.raises(IndexError):
-        eval_affinity(AffinityKernelSpec.gaussian(), 0, 5, f)
+        eval_affinity(AffinityKernelSpec("gaussian"), 0, 5, f)
 
 
 def test_overflow_is_reported():
     f = FeatureField(np.array([[1e200, 0.0], [1e200, 0.0]]))
     with pytest.raises(NonFiniteError):
-        eval_affinity(AffinityKernelSpec.gaussian(), 0, 1, f)
+        eval_affinity(AffinityKernelSpec("gaussian"), 0, 1, f)
 
 
 def test_symmetry_property_randomized():
     f = make_field(23, 7, 3)
     for spec in (
-        AffinityKernelSpec.gaussian(),
-        AffinityKernelSpec.dot_product(),
-        AffinityKernelSpec.rbf(bandwidth=1.3),
+        AffinityKernelSpec("gaussian"),
+        AffinityKernelSpec("dot_product"),
+        AffinityKernelSpec("rbf", bandwidth=1.3),
     ):
         for i in range(7):
             for j in range(7):
@@ -112,22 +112,22 @@ def test_rbf_requires_positive_bandwidth():
     # 2 (1e-154)^2 is subnormal and 2 (1e154)^2 overflows.
     for h in (0.0, -1.0, math.nan, math.inf, 1e-154, 1e154):
         with pytest.raises(BandwidthError, match="is not a usable rbf bandwidth"):
-            AffinityKernelSpec.rbf(bandwidth=h)
+            AffinityKernelSpec("rbf", bandwidth=h)
     for h in (1.1e-154, 9e153):
-        assert AffinityKernelSpec.rbf(bandwidth=h).bandwidth == h
+        assert AffinityKernelSpec("rbf", bandwidth=h).bandwidth == h
 
 
 def test_embedded_rejects_nested_embedded():
     theta = np.eye(2)
-    inner = AffinityKernelSpec.embedded(theta, AffinityKernelSpec.gaussian())
+    inner = AffinityKernelSpec("embedded", theta=theta, inner=AffinityKernelSpec("gaussian"))
     with pytest.raises(ValueError):
-        AffinityKernelSpec.embedded(theta, inner)
+        AffinityKernelSpec("embedded", theta=theta, inner=inner)
 
 
 def test_embedded_rejects_theta_without_rows():
     # A projection to zero channels leaves nothing to compare.
     with pytest.raises(ValueError, match="at least one row"):
-        AffinityKernelSpec.embedded(np.zeros((0, 2)), AffinityKernelSpec.gaussian())
+        AffinityKernelSpec("embedded", theta=np.zeros((0, 2)), inner=AffinityKernelSpec("gaussian"))
 
 
 def test_unknown_variant_rejected():
@@ -142,7 +142,7 @@ def test_unknown_variant_rejected():
 
 def test_dirac_builds_identity_with_all_flags():
     f = make_field(1, 5, 2)
-    K = build_kernel_matrix(f, AffinityKernelSpec.dirac_delta())
+    K = build_kernel_matrix(f, AffinityKernelSpec("dirac_delta"))
     assert np.array_equal(K.entries, np.eye(5))
     assert K.flags() == {
         "symmetric": True,
@@ -155,7 +155,7 @@ def test_dirac_builds_identity_with_all_flags():
 def test_gaussian_constant_rows():
     x = np.array([1.0, -2.0])
     f = FeatureField(np.tile(x, (4, 1)))
-    K = build_kernel_matrix(f, AffinityKernelSpec.gaussian())
+    K = build_kernel_matrix(f, AffinityKernelSpec("gaussian"))
     expected = math.exp(float(x @ x))
     assert np.allclose(K.entries, expected, rtol=0, atol=0)
     assert K.symmetric
@@ -163,13 +163,13 @@ def test_gaussian_constant_rows():
 
 def test_dot_product_orthonormal_rows():
     f = FeatureField(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    K = build_kernel_matrix(f, AffinityKernelSpec.dot_product())
+    K = build_kernel_matrix(f, AffinityKernelSpec("dot_product"))
     assert np.array_equal(K.entries, np.eye(2))
 
 
 def test_negative_dot_products_clear_nonnegative_flag():
     f = FeatureField(np.array([[1.0], [-1.0]]))
-    K = build_kernel_matrix(f, AffinityKernelSpec.dot_product())
+    K = build_kernel_matrix(f, AffinityKernelSpec("dot_product"))
     assert not K.nonnegative
     assert K.entries[0, 1] == -1.0
 
@@ -177,25 +177,25 @@ def test_negative_dot_products_clear_nonnegative_flag():
 def test_build_overflow_names_the_pair():
     f = FeatureField(np.array([[1e200], [1e200], [0.0]]))
     with pytest.raises(NonFiniteError) as err:
-        build_kernel_matrix(f, AffinityKernelSpec.gaussian())
+        build_kernel_matrix(f, AffinityKernelSpec("gaussian"))
     assert "(0, 0)" in str(err.value)
 
 
 def test_embedded_equals_prebuilt_projection():
     theta = np.array([[0.4, -0.7, 0.1], [0.2, 0.9, -0.3]])
     f = make_field(29, 6, 3)
-    spec = AffinityKernelSpec.embedded(theta, AffinityKernelSpec.gaussian())
+    spec = AffinityKernelSpec("embedded", theta=theta, inner=AffinityKernelSpec("gaussian"))
     direct = build_kernel_matrix(f, spec)
     projected = FeatureField(f.values @ theta.T)
-    via = build_kernel_matrix(projected, AffinityKernelSpec.gaussian())
+    via = build_kernel_matrix(projected, AffinityKernelSpec("gaussian"))
     assert np.max(np.abs(direct.entries - via.entries)) <= 1e-14
 
 
 def test_rbf_median_bandwidth_is_default():
     f = make_field(31, 6, 2)
-    K_default = build_kernel_matrix(f, AffinityKernelSpec.rbf())
+    K_default = build_kernel_matrix(f, AffinityKernelSpec("rbf"))
     h = median_bandwidth(f)
-    K_explicit = build_kernel_matrix(f, AffinityKernelSpec.rbf(bandwidth=h))
+    K_explicit = build_kernel_matrix(f, AffinityKernelSpec("rbf", bandwidth=h))
     assert np.array_equal(K_default.entries, K_explicit.entries)
     assert h > 0
 
@@ -208,7 +208,7 @@ def test_median_bandwidth_rejects_a_collapsed_field(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BandwidthError):
-            build_kernel_matrix(f, AffinityKernelSpec.rbf())
+            build_kernel_matrix(f, AffinityKernelSpec("rbf"))
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +218,13 @@ def test_median_bandwidth_rejects_a_collapsed_field(scale):
 THETA = np.array([[0.4, -0.7, 0.1], [0.2, 0.9, -0.3]])
 
 ORACLE_SPECS = {
-    "gaussian": AffinityKernelSpec.gaussian(),
-    "dot_product": AffinityKernelSpec.dot_product(),
-    "dirac_delta": AffinityKernelSpec.dirac_delta(),
-    "rbf_fixed": AffinityKernelSpec.rbf(bandwidth=1.3),
-    "rbf_median": AffinityKernelSpec.rbf(),
-    "embedded_gaussian": AffinityKernelSpec.embedded(THETA, AffinityKernelSpec.gaussian()),
-    "embedded_rbf": AffinityKernelSpec.embedded(THETA, AffinityKernelSpec.rbf()),
+    "gaussian": AffinityKernelSpec("gaussian"),
+    "dot_product": AffinityKernelSpec("dot_product"),
+    "dirac_delta": AffinityKernelSpec("dirac_delta"),
+    "rbf_fixed": AffinityKernelSpec("rbf", bandwidth=1.3),
+    "rbf_median": AffinityKernelSpec("rbf"),
+    "embedded_gaussian": AffinityKernelSpec("embedded", theta=THETA, inner=AffinityKernelSpec("gaussian")),
+    "embedded_rbf": AffinityKernelSpec("embedded", theta=THETA, inner=AffinityKernelSpec("rbf")),
 }
 
 
@@ -272,13 +272,13 @@ def test_build_matches_scalar_oracle_on_drawn_fields(values):
     field = FeatureField(values)
     theta = np.linspace(-1.0, 1.0, 2 * field.num_channels).reshape(2, -1)
     for spec in (
-        AffinityKernelSpec.gaussian(),
-        AffinityKernelSpec.dot_product(),
-        AffinityKernelSpec.dirac_delta(),
-        AffinityKernelSpec.rbf(bandwidth=0.8),
-        AffinityKernelSpec.rbf(),
-        AffinityKernelSpec.embedded(theta, AffinityKernelSpec.gaussian()),
-        AffinityKernelSpec.embedded(theta, AffinityKernelSpec.rbf(bandwidth=0.8)),
+        AffinityKernelSpec("gaussian"),
+        AffinityKernelSpec("dot_product"),
+        AffinityKernelSpec("dirac_delta"),
+        AffinityKernelSpec("rbf", bandwidth=0.8),
+        AffinityKernelSpec("rbf"),
+        AffinityKernelSpec("embedded", theta=theta, inner=AffinityKernelSpec("gaussian")),
+        AffinityKernelSpec("embedded", theta=theta, inner=AffinityKernelSpec("rbf", bandwidth=0.8)),
     ):
         assert_matches_oracle(field, spec)
 
@@ -286,13 +286,13 @@ def test_build_matches_scalar_oracle_on_drawn_fields(values):
 def test_build_overflow_names_first_upper_pair():
     f = FeatureField(np.array([[0.0], [1e200], [1e200]]))
     with pytest.raises(NonFiniteError) as err:
-        build_kernel_matrix(f, AffinityKernelSpec.gaussian())
+        build_kernel_matrix(f, AffinityKernelSpec("gaussian"))
     assert "pair (1, 1)" in str(err.value)
 
 
 def test_net_stage_uses_the_same_affinity():
     f = make_field(53, 9, 3)
-    spec = AffinityKernelSpec.gaussian()
+    spec = AffinityKernelSpec("gaussian")
     stage = StageConfig("proposed", sub_blocks=1, kernel=spec, placement=0)
     ws = _Workspace(NetworkConfig(9, 3, 2, 1, 1, stage=stage), 1)
     _, cache = _stage_fwd(stage, [0.1 * np.eye(3)], f.values[None], ws)
@@ -375,7 +375,7 @@ def overflowing_row_sums_field():
 
 
 def test_normalize_rows_rejects_an_overflowed_row_sum():
-    K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec.gaussian())
+    K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec("gaussian"))
     assert np.isfinite(K.entries).all()
     # Divided by inf, rows 0-2 would come out as zeros; the overflow is
     # reported by the error, not by a warning.
@@ -391,7 +391,7 @@ def test_normalize_rows_rejects_an_overflowed_row_sum():
 def test_sinkhorn_rejects_an_overflowed_row_sum():
     # Unchecked, the first scaling zeroes rows 0-2 and the iteration runs
     # out its budget on a residual of 1.
-    K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec.gaussian())
+    K = build_kernel_matrix(overflowing_row_sums_field(), AffinityKernelSpec("gaussian"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
@@ -420,7 +420,7 @@ def test_sinkhorn_balances_hand_example():
 
 def test_sinkhorn_preserves_symmetry_exactly():
     f = make_field(37, 8, 3)
-    K = build_kernel_matrix(f, AffinityKernelSpec.rbf())
+    K = build_kernel_matrix(f, AffinityKernelSpec("rbf"))
     S = sinkhorn_normalize(K)
     assert np.array_equal(S.entries, S.entries.T)
     assert S.doubly_stochastic

@@ -48,13 +48,13 @@ def small_config(stage=None, trunk_blocks=2, M=5, d=2, C=2, H=3):
 
 def proposed_stage(n=1, placement=1, kernel=None):
     return StageConfig(
-        "proposed", n, kernel or AffinityKernelSpec.gaussian(), placement
+        "proposed", n, kernel or AffinityKernelSpec("gaussian"), placement
     )
 
 
 def original_stage(n=1, placement=1, kernel=None):
     return StageConfig(
-        "original", n, kernel or AffinityKernelSpec.gaussian(), placement
+        "original", n, kernel or AffinityKernelSpec("gaussian"), placement
     )
 
 
@@ -73,27 +73,29 @@ def logits_of(config, params, field):
 
 def test_config_rejects_bad_stages():
     with pytest.raises(ValueError):
-        StageConfig("other", 1, AffinityKernelSpec.gaussian(), 0)
+        StageConfig("other", 1, AffinityKernelSpec("gaussian"), 0)
     with pytest.raises(ValueError):
-        StageConfig("proposed", 0, AffinityKernelSpec.gaussian(), 0)
+        StageConfig("proposed", 0, AffinityKernelSpec("gaussian"), 0)
     with pytest.raises(ValueError):
-        StageConfig("proposed", 1, AffinityKernelSpec.rbf(), 0)
+        StageConfig("proposed", 1, AffinityKernelSpec("rbf"), 0)
+    rbf = AffinityKernelSpec("rbf")
     with pytest.raises(ValueError):
-        StageConfig("proposed", 1, AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.rbf()), 0)
+        StageConfig("proposed", 1, AffinityKernelSpec("embedded", theta=np.eye(2), inner=rbf), 0)
     # A signed Gram's rows can sum to zero or below: no row normalization.
     with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
-        StageConfig("original", 1, AffinityKernelSpec.dot_product(), 0)
+        StageConfig("original", 1, AffinityKernelSpec("dot_product"), 0)
+    dot = AffinityKernelSpec("dot_product")
     with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
-        StageConfig("proposed", 1, AffinityKernelSpec.embedded(np.eye(2), AffinityKernelSpec.dot_product()), 0)
+        StageConfig("proposed", 1, AffinityKernelSpec("embedded", theta=np.eye(2), inner=dot), 0)
     with pytest.raises(ValueError):
         small_config(proposed_stage(placement=7))
     with pytest.raises(ValueError):
         small_config((proposed_stage(),))
-    gaussian = AffinityKernelSpec.gaussian()
+    gaussian = AffinityKernelSpec("gaussian")
     with pytest.raises(ValueError, match="theta maps 3 channels but the network has 2"):
-        small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.eye(3), gaussian)))
+        small_config(proposed_stage(kernel=AffinityKernelSpec("embedded", theta=np.eye(3), inner=gaussian)))
     # theta may change the width the affinity sees; it must read the network's.
-    small_config(proposed_stage(kernel=AffinityKernelSpec.embedded(np.ones((3, 2)), gaussian)))
+    small_config(proposed_stage(kernel=AffinityKernelSpec("embedded", theta=np.ones((3, 2)), inner=gaussian)))
 
 
 def test_param_names_order():
@@ -154,7 +156,7 @@ def test_stage_with_zero_weight_matches_stageless_net():
 
 
 def test_dirac_proposed_stage_is_identity():
-    staged = small_config(proposed_stage(kernel=AffinityKernelSpec.dirac_delta()))
+    staged = small_config(proposed_stage(kernel=AffinityKernelSpec("dirac_delta")))
     plain = small_config(None)
     params = init_params(staged, 4)
     params["stage0.W0"] = SplitMix64(99).normals((2, 2))
@@ -177,7 +179,7 @@ def test_forward_matches_manual_replication_proposed():
     # uses a single row-normalized kernel built from the stage input, so
     # agreement here pins the stage-input fixity of the kernel.
     config = NetworkConfig(
-        4, 2, 2, 1, 3, stage=StageConfig("proposed", 2, AffinityKernelSpec.rbf(bandwidth=1.0), 0)
+        4, 2, 2, 1, 3, stage=StageConfig("proposed", 2, AffinityKernelSpec("rbf", bandwidth=1.0), 0)
     )
     params = init_params(config, 11)
     params["stage0.W0"] = np.array([[0.2, -0.1], [0.05, 0.3]])
@@ -204,7 +206,7 @@ def test_forward_matches_manual_replication_original():
     # Same layout, original formulation: the kernel must be rebuilt from
     # each sub-block's own input and the update adds the positive sum.
     config = NetworkConfig(
-        4, 2, 2, 1, 3, stage=StageConfig("original", 2, AffinityKernelSpec.gaussian(), 0)
+        4, 2, 2, 1, 3, stage=StageConfig("original", 2, AffinityKernelSpec("gaussian"), 0)
     )
     params = init_params(config, 12)
     params["stage0.W0"] = np.array([[0.05, -0.02], [0.01, 0.04]])
@@ -229,7 +231,7 @@ def test_forward_matches_manual_replication_original():
 def test_proposed_stage_norm_stays_bounded_deep():
     # Sixteen stable positive sub-steps never grow the sup norm.
     config = NetworkConfig(
-        6, 2, 2, 1, 3, stage=StageConfig("proposed", 16, AffinityKernelSpec.rbf(bandwidth=1.0), 0)
+        6, 2, 2, 1, 3, stage=StageConfig("proposed", 16, AffinityKernelSpec("rbf", bandwidth=1.0), 0)
     )
     params = {k: np.zeros_like(v) for k, v in init_params(config, 0).items()}
     for n in range(16):
@@ -303,7 +305,9 @@ def test_gradient_spot_check(stage_factory):
 
 
 @pytest.mark.parametrize(
-    "kernel", [AffinityKernelSpec.gaussian(), AffinityKernelSpec.rbf(bandwidth=1.0)], ids=["gaussian", "rbf"]
+    "kernel",
+    [AffinityKernelSpec("gaussian"), AffinityKernelSpec("rbf", bandwidth=1.0)],
+    ids=["gaussian", "rbf"],
 )
 @pytest.mark.parametrize("placement", [0, 1])
 @pytest.mark.parametrize("formulation", ["proposed", "original"])
@@ -765,9 +769,9 @@ def test_contractions_match_their_einsum_definitions(B, M, d, H, seed):
         ws = net._Workspace(NetworkConfig(M, d, 3, 1, H, stage=stage), B)
         _, scache = net._stage_fwd(stage, [W], Z, ws)
         (gW,), dP = stage_backward_with_row_gradient(stage, [W], scache, G, ws)
-        # The proposed step adds D W^T with D = P Z - Z (cache slot 5); the
-        # original one adds Y W^T with Y = P Z (slot 5 of its sub-block).
-        step = scache[5][0] if stage.formulation == "proposed" else scache[0][5]
+        # The proposed step adds D W^T with D = P Z - Z, the original one
+        # Y W^T with Y = P Z; sub-block 0 writes either into its step buffer.
+        step = ws.batch(B).steps[0][0]
         assert_matches_einsum(gW, "bmc,bme->ce", G, step)
         assert_matches_einsum(dP, "bie,bje->bij", G @ W, Z)
 
@@ -859,7 +863,10 @@ def test_a_later_forward_on_the_workspace_makes_a_cache_stale(stage_factory):
         proposed_stage(n=2),
         original_stage(n=3),
         original_stage(n=2, placement=2),
-        proposed_stage(n=2, kernel=AffinityKernelSpec.embedded(np.ones((3, 2)), AffinityKernelSpec.gaussian())),
+        proposed_stage(
+            n=2,
+            kernel=AffinityKernelSpec("embedded", theta=np.ones((3, 2)), inner=AffinityKernelSpec("gaussian")),
+        ),
     ],
     ids=["stageless", "proposed", "original", "original_last", "proposed_embedded"],
 )

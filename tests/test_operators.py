@@ -109,19 +109,19 @@ def test_markov_stage_equivalence_identity():
 def test_apply_original_single_position():
     # One position: rownorm(omega) = [[1]], so the operator returns Z itself.
     Z = np.array([[2.0, -3.0]])
-    out = step_original(Z, AffinityKernelSpec.gaussian(), 1.0)
+    out = step_original(Z, AffinityKernelSpec("gaussian"), 1.0)
     assert np.array_equal(out, 2.0 * Z)
 
 
 def test_apply_original_dirac():
     Z = make_field(7, 5, 2).values
-    out = step_original(Z, AffinityKernelSpec.dirac_delta(), 1.0)
+    out = step_original(Z, AffinityKernelSpec("dirac_delta"), 1.0)
     assert np.max(np.abs(out - 2.0 * Z)) <= 1e-15
 
 
 def test_apply_original_rbf_two_positions_brute_force():
     Z = np.array([[0.0], [2.0]])
-    spec = AffinityKernelSpec.rbf(bandwidth=1.0)
+    spec = AffinityKernelSpec("rbf", bandwidth=1.0)
     out = step_original(Z, spec, 1.0)
     a = math.exp(-2.0)
     # row-normalized kernel [[1, a], [a, 1]] / (1 + a) applied to Z
@@ -133,13 +133,13 @@ def test_apply_original_rejects_nonpositive_row_sums():
     # dot-product affinities of (1, -1) are [[1, -1], [-1, 1]]: both rows sum to 0.
     Z = np.array([[1.0], [-1.0]])
     with pytest.raises(DegenerateRowError) as err:
-        step_original(Z, AffinityKernelSpec.dot_product(), -0.5)
+        step_original(Z, AffinityKernelSpec("dot_product"), -0.5)
     assert err.value.row == 0
 
 
 def test_apply_original_decreases_sup_norm_one_sign():
     Z = np.array([[0.5], [1.0], [2.0]])
-    spec = AffinityKernelSpec.rbf(bandwidth=1.0)
+    spec = AffinityKernelSpec("rbf", bandwidth=1.0)
     # Eq-style update with full negative unit weight: Z' = Z - avg(Z)
     out = step_original(Z, spec, -1.0)
     assert np.max(np.abs(out)) < np.max(np.abs(Z))
@@ -160,7 +160,7 @@ def test_markov_matrix_identity():
 
 def test_markov_matrix_rejects_negative_entries():
     Z = FeatureField(np.array([[1.0, 0.5], [-1.0, 0.5]]))
-    K = nld.build_kernel_matrix(Z, AffinityKernelSpec.dot_product())
+    K = nld.build_kernel_matrix(Z, AffinityKernelSpec("dot_product"))
     with pytest.raises(ValueError, match="nonnegative"):
         MarkovStepper(K)
 
