@@ -33,7 +33,7 @@ import jsonschema
 import numpy as np
 
 from . import dynamics, kernels, net
-from .errors import BlowUpError, InsufficientDataError, NldError, NonFiniteError
+from .errors import BandwidthError, BlowUpError, InsufficientDataError, NldError, NonFiniteError
 from .fields import FeatureField, load_matrix_csv
 from .rng import SplitMix64, derive_seed
 from .spectrum import DEFAULT_TOP_K, spectrum_report
@@ -607,15 +607,25 @@ def cmd_evolve(config: dict, report: RunReport, out_dir: Path) -> None:
         )
     except BlowUpError as err:
         traj = err.record
-        report.checks.append(
-            CheckResult(
+        # Every state the failed step could read is within BLOWUP_LIMIT, so
+        # its median bandwidth's 2 h^2 can only have left the normal range
+        # from below: the state contracted, it did not grow.
+        if isinstance(err.cause, BandwidthError) and np.abs(Z0.values).max() <= dynamics.BLOWUP_LIMIT:
+            check = CheckResult(
+                "finite_trajectory",
+                "fail",
+                measured=float(traj.l2_norm[-1]),
+                detail=f"median bandwidth collapsed at step {err.step}: {err.cause}",
+            )
+        else:
+            check = CheckResult(
                 "finite_trajectory",
                 "fail",
                 measured=err.max_abs,
                 threshold=dynamics.BLOWUP_LIMIT,
                 detail=_blowup_detail(err),
             )
-        )
+        report.checks.append(check)
     report.artifacts.append(_write_text(out_dir, "trajectory.csv", traj.to_csv()))
 
 

@@ -11,8 +11,9 @@ Three operators act on a feature field Z:
 
 Application is matrix-free O(M^2 d).  Three steppers share one evolve
 loop, one operator each.  Each stepper's ``step`` is the one
-implementation of its update, a function of the bare (M, d) state array,
-and the weights w are scalars, one per step or one for all:
+implementation of its update: it reads the bare (M, d) state array and
+writes the next one in place into a caller-owned array.  The weights w
+are scalars, one per step or one for all:
 
 * proposed: Z <- Z + w (K Z - Z) with the kernel K fixed for the whole
   run (it was computed from the stage input once); the explicit Euler step
@@ -24,12 +25,14 @@ and the weights w are scalars, one per step or one for all:
   demonstrate.
 * markov:   Z <- K Z, the plain jump-process evolution.
 
-``evolve`` checks a fixed kernel against the field once per run, checks
-each new state's largest magnitude against BLOWUP_LIMIT, and computes the
-statistics for blocks of up to STATS_BLOCK_BYTES of states at once,
-bitwise as state by state.  It keeps them, not the states, in the
-read-only columns of a :class:`TrajectoryRecord`, one row per state:
-``mean`` (steps + 1, d) and ``variance``, ``l2_norm`` and ``dist_to_mean``.
+``evolve`` checks a fixed kernel against the field once per run.  It
+steps the states straight into the rows of a block of up to
+STATS_BLOCK_BYTES of states (at least two), and once per block checks
+each state's largest magnitude against BLOWUP_LIMIT and computes the
+block's statistics, bitwise as state by state.  It keeps them, not the
+states, in the read-only columns of a :class:`TrajectoryRecord`, one row
+per state: ``mean`` (steps + 1, d) and ``variance``, ``l2_norm`` and
+``dist_to_mean``.
 
 On top of the trajectories sit the verification routines: mean
 preservation, variance decay (with the one-step energy identity), the
@@ -121,17 +124,36 @@ def apply_diffusion(K: KernelMatrix, Z: FeatureField) -> FeatureField:
     return FeatureField(K.entries @ Z.values - Z.values)
 
 
-def _block_stats(S: np.ndarray):
+def _block_stats(S: np.ndarray, work: Optional[np.ndarray] = None):
     """The (mean, variance, l2_norm, dist_to_mean) columns of a (k, M, d) stack.
 
-    The mean is the stack's axis-1 mean and each norm one ddot per state
-    (``np.vecdot``, numpy 2.0 on, as ``np.linalg.norm`` computes it), so
-    every entry is bitwise what the state alone would give.
+    Every entry is bitwise what the state alone would give.  The mean is
+    numpy's axis-0 mean of each (M, d) state: for d > 1 numpy sums that
+    axis row after row, which ``np.add.reduce`` does over a positions-major
+    (M, k d) copy of the stack without the length-d inner loop of
+    ``S.mean(axis=1)``; for d = 1 numpy sums pairwise, and
+    ``S.mean(axis=1)`` is kept.  Each norm is one ddot per state
+    (``np.vecdot``, numpy 2.0 on, as ``np.linalg.norm`` computes it).
+    ``work`` is scratch of at least ``S.size`` floats, allocated when not
+    given.
     """
-    k, M, _ = S.shape
-    means = S.mean(axis=1)
+    k, M, d = S.shape
+    if work is None:
+        work = np.empty(S.size)
+    # Viewed as one void item per position, a copy moves d floats at a time.
+    item = np.dtype((np.void, S.itemsize * d))
+    scratch = work[: S.size]
+    if d == 1:
+        means = S.mean(axis=1)
+    else:
+        T = scratch.reshape(M, k * d)
+        np.copyto(T.view(item), S.view(item).reshape(k, M).T)
+        means = (np.add.reduce(T, axis=0) / M).reshape(k, d)
+    # The centered states: the means tiled state-major, subtracted in place.
     flat = S.reshape(k, -1)
-    centered = (S - means[:, None, :]).reshape(k, -1)
+    centered = scratch.reshape(k, -1)
+    np.copyto(centered.view(item), means.view(item))
+    np.subtract(flat, centered, out=centered)
     dist = np.sqrt(np.vecdot(centered, centered))
     l2 = np.sqrt(np.vecdot(flat, flat))
     return means, dist * dist / M, l2, dist
@@ -166,9 +188,10 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-# A stepper has a ``name`` and ``step(Z, n, total)``, which maps the (M, d)
-# state array before step n of ``total`` to the next one.  A stepper with a
-# ``kernel`` has it checked against the field once per run.
+# A stepper has a ``name`` and ``step(Z, n, total, out)``, which writes the
+# state after step n of ``total`` into the caller-owned (M, d) array
+# ``out`` and returns it.  ``out`` never aliases the state array ``Z``.  A
+# stepper with a ``kernel`` has it checked against the field once per run.
 
 
 class ProposedStepper:
@@ -180,8 +203,13 @@ class ProposedStepper:
         self.kernel = kernel
         self.weights = StageWeights.coerce(weights)
 
-    def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
-        return Z + self.weights.at(n, total) * (self.kernel.entries @ Z - Z)
+    def step(self, Z: np.ndarray, n: int, total: int, out: np.ndarray) -> np.ndarray:
+        # Z + w (K Z - Z), bitwise.
+        np.matmul(self.kernel.entries, Z, out=out)
+        out -= Z
+        out *= self.weights.at(n, total)
+        out += Z
+        return out
 
 
 class OriginalStepper:
@@ -193,11 +221,15 @@ class OriginalStepper:
         self.spec = spec
         self.weights = StageWeights.coerce(weights)
 
-    def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
+    def step(self, Z: np.ndarray, n: int, total: int, out: np.ndarray) -> np.ndarray:
         # The affinities are this step's own, so P overwrites them.
         omega = _affinities(Z, self.spec)[None]
         P, _ = _rownorm_fwd(omega, omega, np.empty(omega.shape[:2]))
-        return Z + self.weights.at(n, total) * (P[0] @ Z)
+        # Z + w (P Z), bitwise.
+        np.matmul(P[0], Z, out=out)
+        out *= self.weights.at(n, total)
+        out += Z
+        return out
 
 
 class MarkovStepper:
@@ -212,12 +244,14 @@ class MarkovStepper:
             raise ValueError("a Markov matrix must be row stochastic")
         self.kernel = kernel
 
-    def step(self, Z: np.ndarray, n: int, total: int) -> np.ndarray:
-        return self.kernel.entries @ Z
+    def step(self, Z: np.ndarray, n: int, total: int, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self.kernel.entries, Z, out=out)
 
 
-# evolve computes the stats of as many states at once as fit in this
-# many bytes (64 states at M = 256, d = 4), and of at least one.
+# evolve steps the states into a block of as many as fit in this many
+# bytes (64 states at M = 256, d = 4), and of at least two, so that a step
+# never writes the state it reads.  One more block-sized array is the
+# scratch of the block's check and statistics, reused for every block.
 STATS_BLOCK_BYTES = 1 << 19
 
 
@@ -230,7 +264,12 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     or :class:`BandwidthError`, which becomes the error's ``cause``.  The
     partial record (up to the last healthy state) rides along on the
     exception.
-    States are stepped as bare arrays and their stats computed in blocks.
+    Each step writes its state in place into the next row of a block of
+    states.  Once per block, every state in it after the initial one is
+    checked, then the block's stats are computed.  The states of a block
+    are checked before a step's error is reported, so the first state past
+    the limit is reported as it would be if each state were checked as soon
+    as it was made.
     """
     if num_steps < 0:
         raise ValueError("num_steps must be nonnegative")
@@ -242,40 +281,56 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     Z = Z0.values
     # mean, variance, l2_norm and dist_to_mean, one row per state.
     columns = (np.empty((num_steps + 1, Z.shape[1])), *np.empty((3, num_steps + 1)))
-    rows = max(1, min(num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
+    rows = max(2, min(num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
     block = np.empty((rows,) + Z.shape)
+    work = np.empty(block.size)
     block[0] = Z
     # The block holds states start .. start + filled - 1.
     start, filled = 0, 1
 
-    def write_block():
-        for column, stat in zip(columns, _block_stats(block[:filled])):
-            column[start : start + filled] = stat
+    def flush() -> None:
+        """Check the block's states, then write their stats.
 
-    def record() -> TrajectoryRecord:
-        write_block()
-        return TrajectoryRecord(*(c[: start + filled] for c in columns), stepper.name, flags)
+        The first state past BLOWUP_LIMIT raises :class:`BlowUpError`, with
+        the stats written up to the state before it.
+        """
+        count, worst = filled, None
+        lo = 0 if start else 1  # the initial state is not checked
+        if count > lo:
+            states = block[lo:count].reshape(count - lo, -1)
+            absolute = np.abs(states, out=work[: states.size].reshape(states.shape))
+            max_abs = np.maximum.reduce(absolute, axis=1)
+            bad = np.flatnonzero(~(max_abs <= BLOWUP_LIMIT))
+            if bad.size:
+                count, worst = lo + int(bad[0]), float(max_abs[bad[0]])
+        if count:
+            for column, stat in zip(columns, _block_stats(block[:count], work)):
+                column[start : start + count] = stat
+        if worst is not None:
+            raise BlowUpError(start + count, float("inf") if math.isnan(worst) else worst, record(count))
 
-    # Overflow surfaces as the blow-up check below, not a warning.
+    def record(count: int) -> TrajectoryRecord:
+        return TrajectoryRecord(*(c[: start + count] for c in columns), stepper.name, flags)
+
+    # Overflow surfaces as the blow-up check, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(num_steps):
+            if filled == rows:
+                flush()
+                start, filled = start + rows, 0
+            out = block[filled]
             try:
-                Z = stepper.step(Z, n, num_steps)
-                max_abs = float(np.abs(Z).max())
+                stepper.step(Z, n, num_steps, out)
             except (DegenerateRowError, BandwidthError, NonFiniteError) as err:
                 # This step's affinities overflowed, have a degenerate row
                 # sum or an unusable median bandwidth: no next state exists.
-                raise BlowUpError(n + 1, float("inf"), record(), err) from err
-            if not (max_abs <= BLOWUP_LIMIT):
-                if math.isnan(max_abs):
-                    max_abs = float("inf")
-                raise BlowUpError(n + 1, max_abs, record())
-            if filled == rows:
-                write_block()
-                start, filled = start + rows, 0
-            block[filled] = Z
+                # An earlier state of the block may have blown up first.
+                flush()
+                raise BlowUpError(n + 1, float("inf"), record(filled), err) from err
+            Z = out
             filled += 1
-    return record()
+        flush()
+    return record(filled)
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,12 @@ def make_balanced_kernel(seed, M, d=3):
 
 def step_proposed(Z, K, w):
     """One proposed sub-step of the array Z under the fixed K."""
-    return nld.ProposedStepper(K, w).step(Z, 0, 1)
+    return nld.ProposedStepper(K, w).step(Z, 0, 1, np.empty_like(Z))
 
 
 def step_original(Z, spec, w):
     """One original block on the array Z, the kernel built on Z."""
-    return nld.OriginalStepper(spec, w).step(Z, 0, 1)
+    return nld.OriginalStepper(spec, w).step(Z, 0, 1, np.empty_like(Z))
 
 
 def step_states(stepper, Z0, num_steps):
@@ -137,7 +137,7 @@ def step_states(stepper, Z0, num_steps):
     """
     states = [Z0.values]
     for n in range(num_steps):
-        states.append(stepper.step(states[-1], n, num_steps))
+        states.append(stepper.step(states[-1], n, num_steps, np.empty_like(states[-1])))
     return states
 
 

@@ -6,6 +6,7 @@ rendered report.json, and the artifact files themselves.
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -671,11 +672,47 @@ def test_evolve_collapsed_median_bandwidth_fails_with_partial_trajectory(tmp_pat
     assert code == 1
     check = check_by_name(read_report(out), "finite_trajectory")
     assert check["status"] == "fail"
-    assert check["measured"] == math.inf
-    assert check["detail"].startswith(f"blow-up at step {step}: median pairwise distance ")
+    # The check names the collapse and measures the last, finite l2.
+    last_l2 = float(csv_columns(out / "trajectory.csv")["l2"][-1])
+    assert 0.0 < last_l2 < 1e-150
+    assert check["measured"] == last_l2
+    assert check["detail"].startswith(f"median bandwidth collapsed at step {step}: median pairwise distance ")
     assert check["detail"].endswith(" must be normal")
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == step + 1  # header plus the states before the failed step
+
+
+def test_evolve_overflowed_median_bandwidth_is_a_blow_up(tmp_path):
+    # An initial state this far past the blow-up guard has a median
+    # pairwise distance whose 2 h^2 overflows: not a collapse.
+    config = {
+        "stepper": "original",
+        "kernel": {"variant": "rbf"},
+        "num_positions": 2,
+        "initial": {"kind": "explicit", "values": [[1e200], [-1e200]]},
+    }
+    code, out = run_cli(tmp_path, "evolve", config)
+    assert code == 1
+    check = check_by_name(read_report(out), "finite_trajectory")
+    assert check["status"] == "fail" and check["measured"] == math.inf
+    assert check["detail"].startswith("blow-up at step 1: median pairwise distance inf ")
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        ({"stepper": "proposed", "weight": 0.5, "normalization": "sinkhorn", "seed": 7},
+         "fe1f08f1840e0571b39603cc73ddbe229f811744d04ec09fe2472436a8e4022c"),
+        ({"stepper": "markov", "normalization": "row", "seed": 8},
+         "1e08b0671e154414e6c86123ac4c478c6728d903de5bf78ae59de5f3083c3a18"),
+    ],
+    ids=["proposed_sinkhorn", "markov_row"],
+)
+def test_evolve_trajectory_bytes_are_pinned_at_the_benchmark_shape(tmp_path, config, digest):
+    # The fixed-kernel ops of the evolve benchmark: M = 256, d = 4, 4000 steps.
+    code, out = run_cli(tmp_path, "evolve", {**config, "num_positions": 256, "num_channels": 4, "steps": 4000})
+    assert code == 0
+    assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
 
 
 def test_evolve_explicit_initial_shape_mismatch_exits_2(tmp_path, capsys):

@@ -122,6 +122,33 @@ def test_step_original_bitwise_arithmetic(spec):
     assert np.array_equal(out, Z.values + -0.5 * (P @ Z.values))
 
 
+def protocol_kernel(M):
+    return KernelMatrix.from_entries(np.ones((1, 1))) if M == 1 else make_balanced_kernel(M + 50, M)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 256])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_step_writes_the_update_expression_into_out(M, d):
+    # Each step writes, bitwise, the expression it stands for into the
+    # caller's out, every entry of which it overwrites; a weight list is
+    # read at the step's own index.
+    K = protocol_kernel(M)
+    Z = make_field(M + 51, M, d).values
+    weights = [0.3, -0.2, 0.7]
+    gaussian = AffinityKernelSpec("gaussian")
+    P = normalize_rows(build_kernel_matrix(FeatureField(Z), gaussian)).entries
+    cases = [
+        (ProposedStepper(K, weights), lambda w: Z + w * (K.entries @ Z - Z)),
+        (MarkovStepper(K), lambda w: K.entries @ Z),
+        (OriginalStepper(gaussian, weights), lambda w: Z + w * (P @ Z)),
+    ]
+    for stepper, expression in cases:
+        for n, w in enumerate(weights):
+            out = np.full_like(Z, np.nan)
+            assert stepper.step(Z, n, len(weights), out) is out
+            assert np.array_equal(out, expression(w)), (stepper.name, n)
+
+
 @pytest.mark.parametrize(
     "make_stepper",
     [
@@ -635,7 +662,7 @@ def test_evolve_stats_match_per_state_formula_across_blocks(monkeypatch, num_ste
 
 @pytest.mark.parametrize("states", [0, 1, 3])
 def test_evolve_stats_blocks_respect_the_byte_cap(monkeypatch, states):
-    # A cap below one state still computes the stats one state at a time.
+    # A cap below two states still computes the stats two states at a time.
     Z0 = make_field(32, 6, 2)
     K = make_balanced_kernel(33, 6)
     stats_blocks_of(monkeypatch, states, Z0)
@@ -660,6 +687,26 @@ def test_evolve_blow_up_inside_the_second_block(monkeypatch, exchange_kernel, tw
     assert float(np.max(np.abs(states[-1]))) <= dynamics.BLOWUP_LIMIT
 
 
+def test_block_check_reports_a_blow_up_before_a_later_step_error():
+    # The 1e13 weight of step 3 takes the state past the guard at step 4,
+    # inside the first block; the step after it overflows its gaussian
+    # affinity.  The earlier blow-up is what evolve reports.
+    Z0 = FeatureField(np.array([[0.5], [0.25]]))
+    stepper = OriginalStepper(AffinityKernelSpec("gaussian"), [0.5, 0.5, 0.5, 1e13] + [0.5] * 6)
+    states = step_states(stepper, Z0, 4)
+    with pytest.raises(NonFiniteError, match="affinity overflowed"):
+        stepper.step(states[4], 4, 10, np.empty_like(Z0.values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowUpError) as err:
+            evolve(Z0, stepper, 10)
+    assert (err.value.step, err.value.max_abs, err.value.cause) == (4, 13086775371296.834, None)
+    partial = err.value.record
+    assert partial.steps == 3
+    assert bits(columns(partial)) == bits(stats_oracle(states[:4]))
+    assert csv_digest(partial) == "98033126ac05155526a67cf1f0fb6d1d469a175cf22f0e487946b22ed4fb72f1"
+
+
 class NonFiniteAt:
     """A stepper that halves the state and plants ``value`` at step ``at``."""
 
@@ -669,8 +716,8 @@ class NonFiniteAt:
         self.at = at
         self.value = value
 
-    def step(self, Z, n, total):
-        out = 0.5 * Z
+    def step(self, Z, n, total, out):
+        np.multiply(0.5, Z, out=out)
         if n == self.at:
             out[-1, -1] = self.value
         return out
@@ -725,7 +772,7 @@ def test_original_array_step_names_the_overflowing_pair():
     Z = np.array([[1.0], [30.0], [0.5]])
     stepper = OriginalStepper(AffinityKernelSpec("gaussian"), -0.5)
     with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
-        stepper.step(Z, 0, 1)
+        stepper.step(Z, 0, 1, np.empty_like(Z))
     with pytest.raises(NonFiniteError, match=r"affinity overflowed at pair \(1, 1\)"):
         build_kernel_matrix(FeatureField(Z), AffinityKernelSpec("gaussian"))
 
@@ -739,7 +786,7 @@ def test_original_stepper_stops_at_an_overflowed_row_sum():
     stepper = OriginalStepper(AffinityKernelSpec("gaussian"), 0.5)
     # A step leaves overflow warnings to its caller, as evolve does.
     with np.errstate(over="ignore"), pytest.raises(RowSumOverflowError, match="row 0 has degenerate sum inf"):
-        stepper.step(Z, 0, 1)
+        stepper.step(Z, 0, 1, np.empty_like(Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BlowUpError) as err:
@@ -753,10 +800,10 @@ class DegenerateAt(NonFiniteAt):
 
     name = "degenerate_at"
 
-    def step(self, Z, n, total):
+    def step(self, Z, n, total, out):
         if n == self.at:
             raise DegenerateRowError(2, self.value)
-        return 0.5 * Z
+        return np.multiply(0.5, Z, out=out)
 
 
 @pytest.mark.parametrize("at", [0, 4, 70])
