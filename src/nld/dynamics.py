@@ -27,12 +27,22 @@ are scalars, one per step or one for all:
 
 ``evolve`` checks a fixed kernel against the field once per run.  It
 steps the states straight into the rows of a block of up to
-STATS_BLOCK_BYTES of states (at least two), and once per block checks
-each state's largest magnitude against BLOWUP_LIMIT and computes the
-block's statistics, bitwise as state by state.  It keeps them, not the
-states, in the read-only columns of a :class:`TrajectoryRecord`, one row
-per state: ``mean`` (steps + 1, d) and ``variance``, ``l2_norm`` and
-``dist_to_mean``.
+STATS_BLOCK_BYTES and MAX_BLOCK_STATES of states (at least two), and once
+per block checks each state's largest magnitude against BLOWUP_LIMIT and
+computes the block's statistics, bitwise as state by state.  It keeps
+them, not the states, in the read-only columns of a
+:class:`TrajectoryRecord`, one row per state: ``mean`` (steps + 1, d) and
+``variance``, ``l2_norm`` and ``dist_to_mean``.
+
+A stable fixed-kernel run contracts to its mean and, in float64, reaches
+a state that repeats bit for bit, often within a few hundred steps.  A
+stepper whose step does not depend on n (markov, and proposed or original
+with one weight for all steps) declares itself ``autonomous``: its next
+state is a function of the bits of the current one.  For such a stepper,
+once a full block's last state equals, bit for bit, an earlier state of
+the block, ``evolve`` stops stepping and repeats the statistics of the
+cycle to the end.  Each statistic is a bitwise function of its own state,
+so the record is the one full stepping would give.
 
 On top of the trajectories sit the verification routines: mean
 preservation, variance decay (with the one-step energy identity), the
@@ -183,8 +193,16 @@ class TrajectoryRecord:
         header = ["step"] + [f"mean_{c}" for c in range(d)] + ["variance", "l2", "dist_to_mean"]
         lines = [",".join(header)]
         table = np.column_stack((self.mean, self.variance, self.l2_norm, self.dist_to_mean))
-        for n, row in enumerate(table.tolist()):
-            lines.append(",".join([str(n)] + [repr(x) for x in row]))
+        # Each distinct row is formatted once.  Sorted by their bits, equal
+        # rows sit side by side; -0.0 and 0.0 differ.
+        bits = table.view(np.uint64)
+        order = np.lexsort(bits.T)
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
+        which = np.empty_like(order)
+        which[order] = np.cumsum(new) - 1
+        tails = [",".join([repr(x) for x in row]) for row in table[order[new]].tolist()]
+        lines += [f"{n},{tails[k]}" for n, k in enumerate(which.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -192,6 +210,8 @@ class TrajectoryRecord:
 # state after step n of ``total`` into the caller-owned (M, d) array
 # ``out`` and returns it.  ``out`` never aliases the state array ``Z``.  A
 # stepper with a ``kernel`` has it checked against the field once per run.
+# A stepper whose ``autonomous`` is true declares that its step reads only
+# the bits of ``Z``, not n or total, so evolve may stop at a repeated state.
 
 
 class ProposedStepper:
@@ -202,6 +222,7 @@ class ProposedStepper:
     def __init__(self, kernel: KernelMatrix, weights):
         self.kernel = kernel
         self.weights = StageWeights.coerce(weights)
+        self.autonomous = len(self.weights.per_step) == 1
 
     def step(self, Z: np.ndarray, n: int, total: int, out: np.ndarray) -> np.ndarray:
         # Z + w (K Z - Z), bitwise.
@@ -220,6 +241,7 @@ class OriginalStepper:
     def __init__(self, spec: AffinityKernelSpec, weights):
         self.spec = spec
         self.weights = StageWeights.coerce(weights)
+        self.autonomous = len(self.weights.per_step) == 1
 
     def step(self, Z: np.ndarray, n: int, total: int, out: np.ndarray) -> np.ndarray:
         # The affinities are this step's own, so P overwrites them.
@@ -236,6 +258,7 @@ class MarkovStepper:
     """Plain jump-process evolution Z <- K Z."""
 
     name = "markov"
+    autonomous = True
 
     def __init__(self, kernel: KernelMatrix):
         if not kernel.nonnegative:
@@ -254,6 +277,29 @@ class MarkovStepper:
 # scratch of the block's check and statistics, reused for every block.
 STATS_BLOCK_BYTES = 1 << 19
 
+# A block holds no more states than this, so that small states are checked
+# for a blow-up, and for a repeat, at least this often.
+MAX_BLOCK_STATES = 1024
+
+
+def _repeat_period(states: np.ndarray) -> int:
+    """The smallest p with ``states[-1]`` bit for bit ``states[-1 - p]``, or 0.
+
+    The states are compared as uint64, so -0.0 and 0.0 differ.  One entry
+    in which the last two states differ rules out most states; only the
+    states that match the last one there are compared whole.
+    """
+    bits = states.reshape(len(states), -1).view(np.uint64)
+    last = bits[-1]
+    differs = np.flatnonzero(bits[-2] != last)
+    if not differs.size:
+        return 1
+    k = differs[0]
+    for i in np.flatnonzero(bits[:-2, k] == last[k])[::-1]:
+        if np.array_equal(bits[i], last):
+            return len(states) - 1 - int(i)
+    return 0
+
 
 def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     """Run ``num_steps`` of the stepper, recording stats at every state.
@@ -270,6 +316,11 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     are checked before a step's error is reported, so the first state past
     the limit is reported as it would be if each state were checked as soon
     as it was made.
+    For an ``autonomous`` stepper, a full block whose last state q equals
+    its state q - p bit for bit ends the stepping: the state after q would
+    be the one after q - p, so the stats of states q - p + 1 .. q are
+    repeated in order up to ``num_steps``.  Every state that was computed
+    was checked; the repeated ones are copies of checked ones.
     """
     if num_steps < 0:
         raise ValueError("num_steps must be nonnegative")
@@ -278,10 +329,11 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     if kernel is not None:
         _check_diffusion(kernel, Z0.num_positions)
         flags = kernel.flags()
+    autonomous = getattr(stepper, "autonomous", False)
     Z = Z0.values
     # mean, variance, l2_norm and dist_to_mean, one row per state.
     columns = (np.empty((num_steps + 1, Z.shape[1])), *np.empty((3, num_steps + 1)))
-    rows = max(2, min(num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes))
+    rows = max(2, min(num_steps + 1, STATS_BLOCK_BYTES // Z.nbytes, MAX_BLOCK_STATES))
     block = np.empty((rows,) + Z.shape)
     work = np.empty(block.size)
     block[0] = Z
@@ -317,6 +369,13 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
         for n in range(num_steps):
             if filled == rows:
                 flush()
+                period = autonomous and _repeat_period(block)
+                if period:
+                    # States n + 1 .. num_steps repeat states n - period + 1 .. n.
+                    source = n + 1 - period + np.arange(num_steps - n) % period
+                    for column in columns:
+                        column[n + 1 :] = column[source]
+                    return record(num_steps + 1 - start)
                 start, filled = start + rows, 0
             out = block[filled]
             try:

@@ -21,7 +21,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from nld import net, spectrum
+from nld import dynamics, net, spectrum
 from nld.cli import (
     CONFIG_DEFAULTS,
     CONFIG_SCHEMAS,
@@ -713,6 +713,31 @@ def test_evolve_trajectory_bytes_are_pinned_at_the_benchmark_shape(tmp_path, con
     code, out = run_cli(tmp_path, "evolve", {**config, "num_positions": 256, "num_channels": 4, "steps": 4000})
     assert code == 0
     assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "config, stepper",
+    [
+        ({"stepper": "proposed", "weight": 0.5, "normalization": "sinkhorn", "seed": 7}, dynamics.ProposedStepper),
+        ({"stepper": "markov", "normalization": "row", "seed": 8}, dynamics.MarkovStepper),
+    ],
+    ids=["proposed_sinkhorn", "markov_row"],
+)
+def test_evolve_benchmark_shape_stops_stepping_at_a_repeat(tmp_path, monkeypatch, config, stepper):
+    # The runs pinned above reach a repeated state within their first three
+    # blocks of 64 states, and are not stepped to step 4000.
+    calls = []
+    step = stepper.step
+
+    def counted(self, Z, n, total, out):
+        calls.append(n)
+        return step(self, Z, n, total, out)
+
+    monkeypatch.setattr(stepper, "step", counted)
+    code, out = run_cli(tmp_path, "evolve", {**config, "num_positions": 256, "num_channels": 4, "steps": 4000})
+    assert code == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 4002
+    assert 0 < len(calls) <= 3 * 64
 
 
 def test_evolve_explicit_initial_shape_mismatch_exits_2(tmp_path, capsys):

@@ -25,11 +25,13 @@ from nld import (
     apply_diffusion,
     build_kernel_matrix,
     cfl_verdict,
+    derive_seed,
     eig_symmetric,
     estimate_decay_rate,
     evolve,
     normalize_rows,
     poincare_constant,
+    sinkhorn_normalize,
     variance_dissipation,
     verify_mean_preservation,
     verify_variance_decay,
@@ -577,6 +579,23 @@ def test_trajectory_csv_bytes_are_pinned_for_a_blow_up_partial_record(exchange_k
     assert csv_digest(err.value.record) == "988184cf25641f39a1bc48d844814ed853c1c4a198a44ca6da2d53a74db40e3a"
 
 
+def test_trajectory_csv_tells_rows_apart_by_their_bits():
+    # Rows 0, 2 and 4 are one row, formatted once; rows 1 and 5 differ from
+    # it only in the sign of a zero.
+    mean = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.5, 0.1], [0.0, 1.0], [-0.0, 1.0]])
+    rest = np.array([0.25, 0.25, 0.25, 1e-300, 0.25, 0.25])
+    traj = dynamics.TrajectoryRecord(mean, rest, rest.copy(), rest.copy(), "test")
+    assert traj.to_csv().splitlines() == [
+        "step,mean_0,mean_1,variance,l2,dist_to_mean",
+        "0,0.0,1.0,0.25,0.25,0.25",
+        "1,-0.0,1.0,0.25,0.25,0.25",
+        "2,0.0,1.0,0.25,0.25,0.25",
+        "3,1.5,0.1,1e-300,1e-300,1e-300",
+        "4,0.0,1.0,0.25,0.25,0.25",
+        "5,-0.0,1.0,0.25,0.25,0.25",
+    ]
+
+
 def test_trajectory_columns_are_read_only(exchange_kernel, two_state_field):
     traj = evolve(make_field(45, 4, 3), ProposedStepper(make_balanced_kernel(46, 4), 0.5), 5)
     with pytest.raises(BlowUpError) as err:
@@ -854,3 +873,176 @@ def test_original_stepper_collapsed_median_bandwidth_is_the_blow_up_cause():
     assert (err.value.step, err.value.max_abs) == (1, math.inf)
     assert type(err.value.cause) is BandwidthError
     assert err.value.record.steps == 0 and err.value.record.mean.shape == (1, 2)
+
+
+# evolve stops stepping at a repeated state
+
+
+def first_repeat(states):
+    """(q, p) for the first state q that is bit for bit state q - p, or None."""
+    seen = {}
+    for q, Z in enumerate(states):
+        p = q - seen.setdefault(Z.tobytes(), q)
+        if p:
+            return q, p
+    return None
+
+
+def counting_steps(stepper):
+    """The step indices of the stepper's ``step`` calls from now on, in order."""
+    calls = []
+    step = stepper.step
+
+    def counted(Z, n, total, out):
+        calls.append(n)
+        return step(Z, n, total, out)
+
+    stepper.step = counted
+    return calls
+
+
+def gaussian_kernel(Z0, normalize):
+    return normalize(build_kernel_matrix(Z0, AffinityKernelSpec("gaussian")))
+
+
+def state_field(seed, M, d):
+    """The normal initial state ``nld evolve`` draws for ``seed``."""
+    return FeatureField(SplitMix64(derive_seed(seed, "state")).normals((M, d)))
+
+
+def markov_rbf(Z0):
+    return MarkovStepper(normalize_rows(build_kernel_matrix(Z0, AffinityKernelSpec("rbf"))))
+
+
+def scaled_field(seed, M, d, scale):
+    return FeatureField(make_field(seed, M, d).values * scale)
+
+
+# Each case: the initial state and the stepper, and the first repeated state
+# q with its period p.
+REPEATS = {
+    "proposed_fixed_point_M5_d1": (
+        lambda: (Z0 := make_field(101, 5, 1), ProposedStepper(gaussian_kernel(Z0, sinkhorn_normalize), 0.5)),
+        (65, 1),
+    ),
+    "proposed_fixed_point_M6_d4": (
+        lambda: (make_field(37, 6, 4), ProposedStepper(make_balanced_kernel(36, 6), 0.5)),
+        (86, 1),
+    ),
+    "proposed_fixed_point_M3_d2": (
+        lambda: (make_field(35, 3, 2), ProposedStepper(make_balanced_kernel(34, 3), 0.9)),
+        (35, 1),
+    ),
+    "markov_fixed_point_M7_d2": (
+        lambda: (Z0 := make_field(100, 7, 2), MarkovStepper(gaussian_kernel(Z0, normalize_rows))),
+        (75, 1),
+    ),
+    "markov_exchange_M2_d2": (
+        lambda: (
+            FeatureField(np.array([[1.0, 0.25], [-1.0, 0.5]])),
+            MarkovStepper(KernelMatrix.from_entries(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+        ),
+        (2, 2),
+    ),
+    "markov_period_2_M4_d1": (
+        lambda: (Z0 := make_field(102, 4, 1), MarkovStepper(gaussian_kernel(Z0, sinkhorn_normalize))),
+        (22, 2),
+    ),
+    "markov_period_3_M34_d2": (lambda: (Z0 := state_field(2, 34, 2), markov_rbf(Z0)), (46, 3)),
+    "markov_period_6_M33_d4": (lambda: (Z0 := state_field(1, 33, 4), markov_rbf(Z0)), (36, 6)),
+    # The markov row op of the evolve benchmark, seed 0, pass 0.
+    "markov_period_3_M256_d4": (lambda: (Z0 := state_field(579362556, 256, 4), markov_rbf(Z0)), (56, 3)),
+    "original_fixed_point_M5_d2": (
+        lambda: (scaled_field(319, 5, 2, 10.0), OriginalStepper(AffinityKernelSpec("rbf", bandwidth=1.0), -1.0)),
+        (2, 1),
+    ),
+    "original_period_2_M5_d1": (
+        lambda: (scaled_field(312, 5, 1, 0.1), OriginalStepper(AffinityKernelSpec("rbf"), -2.0)),
+        (85, 2),
+    ),
+    "original_period_2_M4_d2": (
+        lambda: (scaled_field(318, 4, 2, 10.0), OriginalStepper(AffinityKernelSpec("gaussian"), -1.5)),
+        (62, 2),
+    ),
+    "original_period_4_M3_d4": (
+        lambda: (scaled_field(331, 3, 4, 10.0), OriginalStepper(AffinityKernelSpec("rbf"), -2.0)),
+        (103, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, repeat", REPEATS.values(), ids=REPEATS.keys())
+def test_evolve_stops_at_a_repeat_with_the_stats_of_full_stepping(monkeypatch, make, repeat):
+    Z0, stepper = make()
+    states = step_states(stepper, Z0, 400)
+    assert first_repeat(states) == repeat
+    stats_blocks_of(monkeypatch, 16, Z0)
+    calls = counting_steps(stepper)
+    traj = evolve(Z0, stepper, 400)
+    assert bits(columns(traj)) == bits(stats_oracle(states))
+    # The first block whose last state is q or later shows the repeat, and
+    # its states are the last ones stepped.
+    q = repeat[0]
+    assert calls == list(range(16 * (q // 16 + 1) - 1))
+
+
+@pytest.mark.parametrize(
+    "stepper, Z0, num_steps",
+    [
+        # A fixed point at step 65 with the one weight 0.5.
+        (ProposedStepper(gaussian_kernel(make_field(101, 5, 1), sinkhorn_normalize), [0.5] * 400),
+         make_field(101, 5, 1), 400),
+        # Period 4 from step 99 with the one weight -2.0.
+        (OriginalStepper(AffinityKernelSpec("rbf"), [-2.0] * 400), scaled_field(331, 3, 4, 10.0), 400),
+        # Halving reaches 0.0 near step 1080; this stepper declares nothing.
+        (NonFiniteAt(-1, 0.0), make_field(36, 3, 2), 1500),
+    ],
+    ids=["proposed_weight_list", "original_weight_list", "undeclared"],
+)
+def test_a_stepper_that_may_depend_on_n_is_stepped_every_time(monkeypatch, stepper, Z0, num_steps):
+    states = step_states(stepper, Z0, num_steps)
+    assert first_repeat(states) is not None
+    stats_blocks_of(monkeypatch, 16, Z0)
+    calls = counting_steps(stepper)
+    traj = evolve(Z0, stepper, num_steps)
+    assert calls == list(range(num_steps))
+    assert bits(columns(traj)) == bits(stats_oracle(states))
+
+
+class SignOfZero:
+    """(z, x) <- (-z, x copysign(1, z)) on a (1, 2) state: a step that reads
+    only the state's bits.  From (0, 5) the states run (-0, 5), (0, -5),
+    (-0, -5), (0, 5): period 4, though each state equals the one before it
+    as floats every other step."""
+
+    name = "sign_of_zero"
+    autonomous = True
+
+    def step(self, Z, n, total, out):
+        np.negative(Z[:, :1], out=out[:, :1])
+        np.multiply(Z[:, 1:], np.copysign(1.0, Z[:, :1]), out=out[:, 1:])
+        return out
+
+
+def test_states_that_differ_only_in_the_sign_of_a_zero_are_not_a_repeat(monkeypatch):
+    plus, minus = np.array([[0.0, 1.0]]), np.array([[-0.0, 1.0]])
+    assert dynamics._repeat_period(np.stack([plus, minus])) == 0
+    assert dynamics._repeat_period(np.stack([minus, plus, minus])) == 2
+    Z0 = FeatureField(np.array([[0.0, 5.0]]))
+    stats_blocks_of(monkeypatch, 16, Z0)
+    traj = evolve(Z0, SignOfZero(), 40)
+    assert traj.mean[:, 1].tolist() == [5.0, 5.0, -5.0, -5.0] * 10 + [5.0]
+    assert bits(columns(traj)) == bits(stats_oracle(step_states(SignOfZero(), Z0, 40)))
+
+
+def test_evolve_steps_at_most_one_block_past_a_blow_up(exchange_kernel):
+    # 1.4^n passes 1e12 at step 83.  By bytes alone a block would hold
+    # 16384 states of this size; it holds MAX_BLOCK_STATES.
+    Z0 = FeatureField(np.array([[1.0, 0.25], [-1.0, 0.5]]))
+    assert dynamics.STATS_BLOCK_BYTES // Z0.values.nbytes == 16384
+    stepper = ProposedStepper(exchange_kernel, 1.2)
+    calls = counting_steps(stepper)
+    with pytest.raises(BlowUpError) as err:
+        evolve(Z0, stepper, 20000)
+    assert err.value.step == 83 and err.value.record.steps == 82
+    assert len(calls) == dynamics.MAX_BLOCK_STATES - 1
