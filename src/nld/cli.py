@@ -160,7 +160,7 @@ _KERNEL_SCHEMA = {
     "$id": "urn:nld:kernel",
     **_object(
         {
-            "variant": {"enum": ["gaussian", "dot_product", "rbf", "dirac_delta", "embedded"]},
+            "variant": {"enum": ["gaussian", "rbf", "dirac_delta", "embedded"]},
             "bandwidth": {"type": ["number", "null"]},
             "theta": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
             "inner": {"$ref": "urn:nld:kernel"},

@@ -35,13 +35,13 @@ them, not the states, in the read-only columns of a
 ``variance``, ``l2_norm`` and ``dist_to_mean``.
 
 A stable fixed-kernel run contracts to its mean and, in float64, reaches
-a state that repeats bit for bit, often within a few hundred steps.  A
-stepper whose step does not depend on n (markov, and proposed or original
-with one weight for all steps) declares itself ``autonomous``: its next
-state is a function of the bits of the current one.  For such a stepper,
-once a full block's last state equals, bit for bit, an earlier state of
-the block, ``evolve`` stops stepping and repeats the statistics of the
-cycle to the end.  Each statistic is a bitwise function of its own state,
+a state that repeats bit for bit, often within a few hundred steps.
+Every stepper declares whether its step depends on n; one that does not
+(markov, and proposed or original with one weight for all steps) is
+``autonomous``: its next state is a function of the bits of the current
+one.  For such a stepper, once a full block's last state equals, bit for
+bit, an earlier state of the block, ``evolve`` stops stepping and repeats
+the statistics of the cycle to the end.  Each statistic is a bitwise function of its own state,
 so the record is the one full stepping would give.
 
 On top of the trajectories sit the verification routines: mean
@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BandwidthError, BlowUpError, DegenerateRowError, InsufficientDataError, NonFiniteError
+from .errors import BandwidthError, BlowUpError, InsufficientDataError, NonFiniteError
 from .fields import FeatureField
 from .kernels import AffinityKernelSpec, KernelMatrix, _affinities, _rownorm_fwd, _squared_distances
 
@@ -206,12 +206,13 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-# A stepper has a ``name`` and ``step(Z, n, total, out)``, which writes the
-# state after step n of ``total`` into the caller-owned (M, d) array
-# ``out`` and returns it.  ``out`` never aliases the state array ``Z``.  A
-# stepper with a ``kernel`` has it checked against the field once per run.
-# A stepper whose ``autonomous`` is true declares that its step reads only
-# the bits of ``Z``, not n or total, so evolve may stop at a repeated state.
+# A stepper has a ``name``, a ``kernel``, an ``autonomous`` flag and
+# ``step(Z, n, total, out)``, which writes the state after step n of
+# ``total`` into the caller-owned (M, d) array ``out`` and returns it.
+# ``out`` never aliases the state array ``Z``.  A ``kernel`` that is not
+# None is checked against the field once per run.  ``autonomous`` is true
+# when the step reads only the bits of ``Z``, not n or total, so evolve may
+# stop at a repeated state.
 
 
 class ProposedStepper:
@@ -237,6 +238,7 @@ class OriginalStepper:
     """Kernel re-evaluated on the current state every step."""
 
     name = "original"
+    kernel = None
 
     def __init__(self, spec: AffinityKernelSpec, weights):
         self.spec = spec
@@ -306,17 +308,17 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
 
     A non-finite entry or one beyond BLOWUP_LIMIT aborts with
     :class:`BlowUpError` (a NaN is reported as max abs inf); so does a
-    step that raises :class:`NonFiniteError`, :class:`DegenerateRowError`
-    or :class:`BandwidthError`, which becomes the error's ``cause``.  The
-    partial record (up to the last healthy state) rides along on the
-    exception.
+    step that raises :class:`NonFiniteError` (a
+    :class:`RowSumOverflowError` included) or :class:`BandwidthError`,
+    which becomes the error's ``cause``.  The partial record (up to the
+    last healthy state) rides along on the exception.
     Each step writes its state in place into the next row of a block of
     states.  Once per block, every state in it after the initial one is
     checked, then the block's stats are computed.  The states of a block
     are checked before a step's error is reported, so the first state past
     the limit is reported as it would be if each state were checked as soon
     as it was made.
-    For an ``autonomous`` stepper, a full block whose last state q equals
+    For an autonomous stepper, a full block whose last state q equals
     its state q - p bit for bit ends the stepping: the state after q would
     be the one after q - p, so the stats of states q - p + 1 .. q are
     repeated in order up to ``num_steps``.  Every state that was computed
@@ -324,12 +326,10 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
     """
     if num_steps < 0:
         raise ValueError("num_steps must be nonnegative")
-    kernel = getattr(stepper, "kernel", None)
     flags = None
-    if kernel is not None:
-        _check_diffusion(kernel, Z0.num_positions)
-        flags = kernel.flags()
-    autonomous = getattr(stepper, "autonomous", False)
+    if stepper.kernel is not None:
+        _check_diffusion(stepper.kernel, Z0.num_positions)
+        flags = stepper.kernel.flags()
     Z = Z0.values
     # mean, variance, l2_norm and dist_to_mean, one row per state.
     columns = (np.empty((num_steps + 1, Z.shape[1])), *np.empty((3, num_steps + 1)))
@@ -369,7 +369,7 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
         for n in range(num_steps):
             if filled == rows:
                 flush()
-                period = autonomous and _repeat_period(block)
+                period = stepper.autonomous and _repeat_period(block)
                 if period:
                     # States n + 1 .. num_steps repeat states n - period + 1 .. n.
                     source = n + 1 - period + np.arange(num_steps - n) % period
@@ -380,9 +380,9 @@ def evolve(Z0: FeatureField, stepper, num_steps: int) -> TrajectoryRecord:
             out = block[filled]
             try:
                 stepper.step(Z, n, num_steps, out)
-            except (DegenerateRowError, BandwidthError, NonFiniteError) as err:
-                # This step's affinities overflowed, have a degenerate row
-                # sum or an unusable median bandwidth: no next state exists.
+            except (BandwidthError, NonFiniteError) as err:
+                # This step's affinities or a row sum overflowed, or its
+                # median bandwidth is unusable: no next state exists.
                 # An earlier state of the block may have blown up first.
                 flush()
                 raise BlowUpError(n + 1, float("inf"), record(filled), err) from err

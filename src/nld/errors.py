@@ -16,7 +16,9 @@ class NonFiniteError(NldError):
 
 class DegenerateRowError(NldError):
     """A kernel row sum cannot be normalized against: it is too close to
-    zero, negative or nan, or it overflowed to inf (``RowSumOverflowError``)."""
+    zero, negative or nan, or it overflowed to inf (``RowSumOverflowError``).
+    A built kernel's rows sum to at least 1, inf or nan; only arbitrary
+    entries (``KernelMatrix.from_entries``) sum too close to zero or below."""
 
     def __init__(self, row: int, row_sum: float):
         self.row = row
@@ -27,8 +29,9 @@ class DegenerateRowError(NldError):
 class RowSumOverflowError(DegenerateRowError, NonFiniteError):
     """A row of finite kernel entries sums to inf.
 
-    It is a degenerate row, so the network records it as a divergence, and
-    a non-finite value, so an evolving state that produces it blows up.
+    It is the degenerate row a built kernel can have: a network stage
+    records it as a divergence, and, as a non-finite value, it blows up
+    an evolving state that produces it.
     """
 
 
@@ -52,8 +55,8 @@ class BlowUpError(NldError):
     ``step`` is the index of the first offending state (state 0 is the
     initial condition).  ``record`` holds the trajectory up to the last
     healthy state so callers can inspect how the run failed.  ``cause`` is
-    the :class:`NonFiniteError`, :class:`DegenerateRowError` or
-    :class:`BandwidthError` of a step whose kernel could not be built or
+    the :class:`NonFiniteError` (a :class:`RowSumOverflowError` included)
+    or :class:`BandwidthError` of a step whose kernel could not be built or
     normalized (max_abs is then inf: no state), else None.
     """
 

@@ -23,14 +23,17 @@ callers pass fresh arrays.  The buffers are required arguments.
 buffers they wrote.  Only the rbf, embedded and dirac_delta variants
 still allocate temporaries of their own.
 
-The Gram V V^T of the gaussian and dot_product variants is a GEMM on a
-C-contiguous copy of V^T, not a product with the transposed view, which
-numpy runs as one OpenBLAS ``dsyrk`` (symmetric rank-k update) per
-sample: ``dsyrk`` made the Gram exactly symmetric, but at these sizes it
-cost about twice the copy and the GEMM together (figures in
-``_kernel_fwd``).  The GEMM's Gram is symmetric only to rounding;
-:func:`build_kernel_matrix` mirrors its upper triangle, so a
-:class:`KernelMatrix` is still exactly symmetric.
+The gaussian variant's Gram V V^T is a GEMM on a C-contiguous copy of
+V^T, not a product with the transposed view, which numpy runs as one
+OpenBLAS ``dsyrk`` (symmetric rank-k update) per sample: ``dsyrk`` made
+the Gram exactly symmetric, but at these sizes it cost about twice the
+copy and the GEMM together (figures in ``_kernel_fwd``).  The GEMM's Gram
+is symmetric only to rounding; :func:`build_kernel_matrix` mirrors its
+upper triangle, so a :class:`KernelMatrix` is still exactly symmetric.
+
+No affinity is negative, and each diagonal entry is at least 1
+(exp(|x_i|^2) for the gaussian, 1 for the others), so a built kernel's
+rows sum to at least 1, inf or nan: only an overflow makes one degenerate.
 
 Two normalization routes are provided:
 
@@ -55,12 +58,11 @@ from .errors import BandwidthError, ConvergenceError, DegenerateRowError, NonFin
 from .fields import FeatureField, _frozen_array
 
 GAUSSIAN = "gaussian"
-DOT_PRODUCT = "dot_product"
 RBF = "rbf"
 DIRAC_DELTA = "dirac_delta"
 EMBEDDED = "embedded"
 
-_VARIANTS = (GAUSSIAN, DOT_PRODUCT, RBF, DIRAC_DELTA, EMBEDDED)
+_VARIANTS = (GAUSSIAN, RBF, DIRAC_DELTA, EMBEDDED)
 
 # A flag is only set when the property holds to this tolerance.
 FLAG_TOL = 1e-12
@@ -78,9 +80,10 @@ SINKHORN_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class AffinityKernelSpec:
-    """Declarative description of a pairwise affinity.
+    """Declarative description of a pairwise affinity, nonnegative with a
+    diagonal of at least 1 in every variant.
 
-    variant      one of gaussian | dot_product | rbf | dirac_delta | embedded
+    variant      one of gaussian | rbf | dirac_delta | embedded
     bandwidth    rbf only; None means "use the median pairwise distance of
                  the field the kernel is built on"
     theta        embedded only; (d_out, d_in) projection applied to features
@@ -206,14 +209,11 @@ def _kernel_fwd(spec: AffinityKernelSpec, V: np.ndarray, omega: np.ndarray, VT: 
         h = float(spec.bandwidth)
         np.exp(-_squared_distances(V) / (2.0 * h * h), out=omega)
         return None
+    # gaussian: exp(V V^T).
     np.copyto(VT, V.swapaxes(1, 2))
     np.matmul(V, VT, out=omega)
-    if spec.variant == DOT_PRODUCT:
-        return None
-    if spec.variant == GAUSSIAN:
-        np.exp(omega, out=omega)
-        return None
-    raise ValueError(f"unknown kernel variant {spec.variant!r}")
+    np.exp(omega, out=omega)
+    return None
 
 
 def _kernel_bwd(spec: AffinityKernelSpec, V, omega, aux, dOmega, A, dV, AtV):
@@ -237,9 +237,6 @@ def _kernel_bwd(spec: AffinityKernelSpec, V, omega, aux, dOmega, A, dV, AtV):
         np.multiply(row[:, :, None], V, out=dV)
         np.subtract(dV, np.matmul(Bsym, V, out=AtV), out=dV)
         return np.multiply(2.0, dV, out=dV)
-    if spec.variant != GAUSSIAN:
-        # Network stages, the only callers, reject dot_product kernels.
-        raise ValueError(f"no stage gradient for kernel variant {spec.variant!r}")
     # omega = exp(V V^T), so with A = dOmega * omega, dV = A V + A^T V.
     np.multiply(dOmega, omega, out=A)
     np.matmul(A, V, out=dV)

@@ -64,7 +64,6 @@ import numpy as np
 
 from .errors import DegenerateRowError, DivergenceError
 from .kernels import (
-    DOT_PRODUCT,
     EMBEDDED,
     RBF,
     AffinityKernelSpec,
@@ -108,10 +107,6 @@ class StageConfig:
         affinity = self.kernel.inner if self.kernel.variant == EMBEDDED else self.kernel
         if affinity.variant == RBF and affinity.bandwidth is None:
             raise ValueError("network stages need an explicit rbf bandwidth")
-        if affinity.variant == DOT_PRODUCT:
-            # Its signed Gram gives rows that sum to zero or below, which
-            # the row normalization rejects on the first batch.
-            raise ValueError("network stages cannot row-normalize a dot_product kernel")
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,16 +247,16 @@ def _block_bwd(W1, W2, gain, cache, G, gW1, gW2, input_grad):
 
 def _stage_kernel(kernel: AffinityKernelSpec, Z, omega, P, C, gram):
     """The row-normalized kernel of the batch Z, written into omega, P and
-    the row sums C; returns the kernel backward's aux.  A non-finite
-    affinity makes its row sum non-finite, which the row normalization
-    rejects before it writes P: that is the stage's overflow."""
+    the row sums C; returns the kernel backward's aux.  A stage kernel's
+    rows sum to at least 1, so the row normalization rejects, before it
+    writes P, only a sum of inf or nan: a divergence, named as the stage's
+    overflow when an affinity itself is not finite."""
     kaux = _kernel_fwd(kernel, Z, omega, gram)
     try:
         _rownorm_fwd(omega, P, C)
-    except DegenerateRowError:
-        if not np.isfinite(omega).all():
-            raise DivergenceError("stage affinity overflowed") from None
-        raise
+    except DegenerateRowError as err:
+        overflowed = not np.isfinite(omega).all()
+        raise DivergenceError("stage affinity overflowed" if overflowed else str(err)) from None
     return kaux
 
 
@@ -760,7 +755,7 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite loss")
                 _backward_batch(config, params, cache, dlogits, grads)
-            except (DivergenceError, DegenerateRowError) as err:
+            except DivergenceError as err:
                 divergence = f"epoch {epoch}, batch {batch}: {err}"
                 break
             g = gflat + hyper.weight_decay * theta
@@ -778,7 +773,7 @@ def train(config: NetworkConfig, task: SyntheticTask, hyper: Hyper, seed: int = 
                 val_loss, val_acc, _ = softmax_cross_entropy(vlogits, yva)
             else:
                 val_loss, val_acc = float("nan"), float("nan")
-        except (DivergenceError, DegenerateRowError) as err:
+        except DivergenceError as err:
             divergence = f"epoch {epoch}, validation: {err}"
             val_loss, val_acc = float("nan"), float("nan")
         history.append(EpochStats(loss_sum / seen, acc_sum / seen, val_loss, val_acc))

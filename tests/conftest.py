@@ -74,8 +74,6 @@ def eval_affinity(spec, i, j, field):
     with np.errstate(over="ignore"):
         if spec.variant == nld.GAUSSIAN:
             w = float(np.exp(np.dot(xi, xj)))
-        elif spec.variant == nld.DOT_PRODUCT:
-            w = float(np.dot(xi, xj))
         elif spec.variant == nld.RBF:
             h = float(spec.bandwidth) if spec.bandwidth is not None else nld.median_bandwidth(field)
             diff = xi - xj

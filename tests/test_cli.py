@@ -638,24 +638,25 @@ def test_evolve_original_kernel_overflow_is_a_named_blowup(tmp_path, capsys):
 
 
 def test_evolve_degenerate_row_fails_with_partial_trajectory(tmp_path, capsys):
-    # dot-product affinities of (1, -1) sum to 0 in row 0: the first step
-    # cannot normalize its kernel.
+    # Every gaussian affinity is finite (exp(709) is below the float64
+    # maximum), but rows 0-2 sum three of the largest to inf: the first
+    # step cannot normalize its kernel.
+    z = math.sqrt(709.0)
     code, out = run_cli(
         tmp_path,
         "evolve",
         {
             "stepper": "original",
-            "kernel": {"variant": "dot_product"},
-            "weight": -0.5,
-            "num_positions": 2,
+            "kernel": {"variant": "gaussian"},
+            "num_positions": 4,
             "num_channels": 1,
-            "initial": {"kind": "explicit", "values": [[1.0], [-1.0]]},
+            "initial": {"kind": "explicit", "values": [[z], [z], [z], [0.0]]},
         },
     )
     assert code == 1
     check = check_by_name(read_report(out), "finite_trajectory")
     assert check["status"] == "fail"
-    assert check["detail"] == "blow-up at step 1: row 0 has degenerate sum 0.0; cannot normalize"
+    assert check["detail"] == "blow-up at step 1: row 0 has degenerate sum inf; cannot normalize"
     assert check["measured"] == math.inf
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus the initial state
@@ -784,12 +785,13 @@ def test_evolve_misplaced_kernel_keys_exit_2(tmp_path, capsys, kernel, message):
     "config, message",
     [
         ({"kernel": {"variant": "gaussian", "bandwidth": 1.0}}, "bandwidth only applies to the rbf"),
+        ({"kernel": {"variant": "dot_product"}}, "config rejected: 'dot_product' is not one of"),
         ({"num_positions": 4, "initial": {"kind": "explicit", "values": [[1.0], [2.0]]}}, "does not match"),
         # Values with a seeded kind would be ignored, not used.
         ({"initial": {"kind": "normal", "values": [[1.0]]}}, "need kind 'explicit', not 'normal'"),
         ({"initial": {"kind": "uniform", "values": [[1.0]]}}, "need kind 'explicit', not 'uniform'"),
     ],
-    ids=["kernel_key", "initial_shape", "values_normal", "values_uniform"],
+    ids=["kernel_key", "dot_product", "initial_shape", "values_normal", "values_uniform"],
 )
 def test_evolve_rejected_config_leaves_no_out_dir(tmp_path, capsys, config, message):
     code, out = run_cli(tmp_path, "evolve", config)
@@ -1238,7 +1240,7 @@ def test_dot_product_stage_exits_2(tmp_path, capsys, command, kernel):
         net_doc = {"trunk_blocks": 2, "hidden_channels": 3, "kernel": kernel}
     code, out = run_cli(tmp_path, command, {"task": TINY_TASK, "net": net_doc, "hyper": TINY_HYPER})
     assert code == 2
-    assert "cannot row-normalize a dot_product kernel" in capsys.readouterr().err
+    assert "config rejected: 'dot_product' is not one of" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -46,11 +46,6 @@ def test_gaussian_hand_value():
     assert v == pytest.approx(7.3890560989, rel=1e-9)
 
 
-def test_dot_product_value_and_sign():
-    f = FeatureField(np.array([[1.0, 2.0], [-3.0, 1.0]]))
-    assert eval_affinity(AffinityKernelSpec("dot_product"), 0, 1, f) == -1.0
-
-
 def test_dirac_delta_on_indices():
     f = FeatureField(np.array([[5.0], [5.0], [5.0], [1.0]]))
     spec = AffinityKernelSpec("dirac_delta")
@@ -95,7 +90,6 @@ def test_symmetry_property_randomized():
     f = make_field(23, 7, 3)
     for spec in (
         AffinityKernelSpec("gaussian"),
-        AffinityKernelSpec("dot_product"),
         AffinityKernelSpec("rbf", bandwidth=1.3),
     ):
         for i in range(7):
@@ -161,19 +155,6 @@ def test_gaussian_constant_rows():
     assert K.symmetric
 
 
-def test_dot_product_orthonormal_rows():
-    f = FeatureField(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    K = build_kernel_matrix(f, AffinityKernelSpec("dot_product"))
-    assert np.array_equal(K.entries, np.eye(2))
-
-
-def test_negative_dot_products_clear_nonnegative_flag():
-    f = FeatureField(np.array([[1.0], [-1.0]]))
-    K = build_kernel_matrix(f, AffinityKernelSpec("dot_product"))
-    assert not K.nonnegative
-    assert K.entries[0, 1] == -1.0
-
-
 def test_build_overflow_names_the_pair():
     f = FeatureField(np.array([[1e200], [1e200], [0.0]]))
     with pytest.raises(NonFiniteError) as err:
@@ -219,7 +200,6 @@ THETA = np.array([[0.4, -0.7, 0.1], [0.2, 0.9, -0.3]])
 
 ORACLE_SPECS = {
     "gaussian": AffinityKernelSpec("gaussian"),
-    "dot_product": AffinityKernelSpec("dot_product"),
     "dirac_delta": AffinityKernelSpec("dirac_delta"),
     "rbf_fixed": AffinityKernelSpec("rbf", bandwidth=1.3),
     "rbf_median": AffinityKernelSpec("rbf"),
@@ -245,6 +225,9 @@ def assert_matches_oracle(field, spec):
     K = build_kernel_matrix(field, spec).entries
     assert np.all(np.abs(K - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
     assert np.array_equal(K, K.T)
+    # The row normalizations rest on this: no row sum of a built kernel
+    # falls below 1.
+    assert np.all(K.sum(axis=1) >= 1.0)
     inner = spec.inner if spec.variant == nld.kernels.EMBEDDED else spec
     if inner.variant == nld.kernels.RBF:
         assert np.all(np.diag(K) == 1.0)
@@ -273,7 +256,6 @@ def test_build_matches_scalar_oracle_on_drawn_fields(values):
     theta = np.linspace(-1.0, 1.0, 2 * field.num_channels).reshape(2, -1)
     for spec in (
         AffinityKernelSpec("gaussian"),
-        AffinityKernelSpec("dot_product"),
         AffinityKernelSpec("dirac_delta"),
         AffinityKernelSpec("rbf", bandwidth=0.8),
         AffinityKernelSpec("rbf"),
@@ -281,6 +263,32 @@ def test_build_matches_scalar_oracle_on_drawn_fields(values):
         AffinityKernelSpec("embedded", theta=theta, inner=AffinityKernelSpec("rbf", bandwidth=0.8)),
     ):
         assert_matches_oracle(field, spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AffinityKernelSpec("gaussian"),
+        AffinityKernelSpec("rbf", bandwidth=0.8),
+        AffinityKernelSpec("dirac_delta"),
+        AffinityKernelSpec("embedded", theta=THETA, inner=AffinityKernelSpec("gaussian")),
+        AffinityKernelSpec("embedded", theta=THETA, inner=AffinityKernelSpec("rbf", bandwidth=0.8)),
+    ],
+    ids=["gaussian", "rbf", "dirac_delta", "embedded_gaussian", "embedded_rbf"],
+)
+def test_batched_kernel_rows_sum_to_at_least_one(spec):
+    # A network-sized batch, 32 fields of 10 positions and 3 channels, at
+    # scales from 1e-3 to 30: the larger gaussian rows overflow to inf.
+    scales = np.repeat([1e-3, 0.1, 1.0, 3.0, 10.0, 30.0], 6)[:32]
+    V = scales[:, None, None] * np.stack([make_field(60 + b, 10, 3).values for b in range(32)])
+    width = len(spec.theta) if spec.variant == nld.kernels.EMBEDDED else 3
+    omega = np.empty((32, 10, 10))
+    with np.errstate(over="ignore"):
+        nld.kernels._kernel_fwd(spec, V, omega, np.empty((32, width, 10)))
+        C = omega.sum(axis=2)
+    finite = np.isfinite(C)
+    assert finite.any()
+    assert np.all(C[finite] >= 1.0)
 
 
 def test_build_overflow_names_first_upper_pair():
@@ -311,6 +319,7 @@ def test_flags_are_verified_not_declared():
     assert K.row_stochastic
     assert not K.symmetric
     assert not K.doubly_stochastic
+    assert K.nonnegative and not KernelMatrix.from_entries(np.array([[1.5, -0.5], [-0.5, 1.5]])).nonnegative
     U = KernelMatrix.from_entries(np.full((4, 4), 0.25))
     assert U.symmetric and U.row_stochastic and U.doubly_stochastic
 
@@ -349,7 +358,7 @@ def test_normalize_rows_hand_value_breaks_symmetry():
 def test_normalize_rows_rejects_zero_and_negative_sums():
     with pytest.raises(DegenerateRowError):
         normalize_rows(KernelMatrix.from_entries(np.array([[1.0, 1.0], [0.0, 0.0]])))
-    # nonpositive row sums from a dot_product kernel are rejected, not clamped
+    # nonpositive row sums are rejected, not clamped
     with pytest.raises(DegenerateRowError) as err:
         normalize_rows(KernelMatrix.from_entries(np.array([[1.0, -3.0], [-3.0, 1.0]])))
     assert err.value.row == 0

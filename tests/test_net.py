@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from nld import (
     AffinityKernelSpec,
-    DegenerateRowError,
     DivergenceError,
     FeatureField,
     Hyper,
@@ -81,12 +80,6 @@ def test_config_rejects_bad_stages():
     rbf = AffinityKernelSpec("rbf")
     with pytest.raises(ValueError):
         StageConfig("proposed", 1, AffinityKernelSpec("embedded", theta=np.eye(2), inner=rbf), 0)
-    # A signed Gram's rows can sum to zero or below: no row normalization.
-    with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
-        StageConfig("original", 1, AffinityKernelSpec("dot_product"), 0)
-    dot = AffinityKernelSpec("dot_product")
-    with pytest.raises(ValueError, match="cannot row-normalize a dot_product kernel"):
-        StageConfig("proposed", 1, AffinityKernelSpec("embedded", theta=np.eye(2), inner=dot), 0)
     with pytest.raises(ValueError):
         small_config(proposed_stage(placement=7))
     with pytest.raises(ValueError):
@@ -556,7 +549,7 @@ def per_tensor_train(config, task, hyper, seed):
                 if not np.isfinite(loss):
                     raise DivergenceError("non-finite loss")
                 net._backward_batch(config, params, cache, dlogits, grads)
-            except (DivergenceError, DegenerateRowError) as err:
+            except DivergenceError as err:
                 divergence = str(err)
                 break
             for k in params:
@@ -572,7 +565,7 @@ def per_tensor_train(config, task, hyper, seed):
         try:
             vlogits, _ = net._forward_batch(config, params, Xva, ws)
             val_loss, val_acc, _ = softmax_cross_entropy(vlogits, yva)
-        except (DivergenceError, DegenerateRowError) as err:
+        except DivergenceError as err:
             divergence = str(err)
             val_loss, val_acc = float("nan"), float("nan")
         history.append(net.EpochStats(loss_sum / seen, acc_sum / seen, val_loss, val_acc))

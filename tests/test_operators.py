@@ -13,7 +13,6 @@ import pytest
 import nld
 from nld import (
     AffinityKernelSpec,
-    DegenerateRowError,
     FeatureField,
     KernelMatrix,
     MarkovStepper,
@@ -129,14 +128,6 @@ def test_apply_original_rbf_two_positions_brute_force():
     assert np.max(np.abs(out - (Z + average))) <= 1e-15
 
 
-def test_apply_original_rejects_nonpositive_row_sums():
-    # dot-product affinities of (1, -1) are [[1, -1], [-1, 1]]: both rows sum to 0.
-    Z = np.array([[1.0], [-1.0]])
-    with pytest.raises(DegenerateRowError) as err:
-        step_original(Z, AffinityKernelSpec("dot_product"), -0.5)
-    assert err.value.row == 0
-
-
 def test_apply_original_decreases_sup_norm_one_sign():
     Z = np.array([[0.5], [1.0], [2.0]])
     spec = AffinityKernelSpec("rbf", bandwidth=1.0)
@@ -159,8 +150,8 @@ def test_markov_matrix_identity():
 
 
 def test_markov_matrix_rejects_negative_entries():
-    Z = FeatureField(np.array([[1.0, 0.5], [-1.0, 0.5]]))
-    K = nld.build_kernel_matrix(Z, AffinityKernelSpec("dot_product"))
+    # Row stochastic, so the sign is what is rejected.
+    K = KernelMatrix.from_entries([[1.5, -0.5], [-0.5, 1.5]])
     with pytest.raises(ValueError, match="nonnegative"):
         MarkovStepper(K)
 
